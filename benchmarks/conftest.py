@@ -9,14 +9,18 @@ Every benchmark's ``extra_info`` additionally records the process's
 peak RSS, so memory claims (like the engine's flat-arena scaling) are
 machine-checkable from the emitted benchmark JSON alongside wall-clock.
 
-Each measured session also appends one record per benchmark —
+A measured session can also append one record per benchmark —
 wall-clock, events/sec where the benchmark reports one, and the full
-``extra_info`` — to ``BENCH_engine.json`` next to this file, building
-a machine-readable perf trajectory across runs (``--benchmark-disable``
-sessions record nothing and leave the file untouched).
+``extra_info`` — to a JSON perf-trajectory file, but only on explicit
+opt-in: set ``REPRO_BENCH_LOG`` to the file's path (e.g.
+``REPRO_BENCH_LOG=benchmarks/BENCH_engine.json`` extends the tracked
+trajectory next to this file).  Without it a run, tier-1 included,
+writes nothing to the tree; ``--benchmark-disable`` sessions never
+record.
 """
 
 import json
+import os
 import resource
 import time
 from pathlib import Path
@@ -25,9 +29,9 @@ import pytest
 
 from repro.eval.workloads import prepare_workload
 
-#: Perf-trajectory log: one JSON array of session records, appended
-#: per measured session so regressions are diffable in-repo.
-BENCH_LOG = Path(__file__).with_name("BENCH_engine.json")
+#: Opt-in switch: the perf-trajectory file (one JSON array of session
+#: records) this session appends to; unset or empty = record nothing.
+BENCH_LOG_ENV = "REPRO_BENCH_LOG"
 
 _session_records = []
 
@@ -97,13 +101,17 @@ def _record_benchmark_telemetry(request):
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Append this session's measured benchmarks to the trajectory."""
-    if not _session_records:
+    """Append this session's measured benchmarks to the trajectory
+    file named by ``REPRO_BENCH_LOG`` (no-op when it is unset)."""
+    log_path = os.environ.get(BENCH_LOG_ENV)
+    if not _session_records or not log_path:
+        _session_records.clear()
         return
+    log = Path(log_path)
     history = []
-    if BENCH_LOG.exists():
+    if log.exists():
         try:
-            history = json.loads(BENCH_LOG.read_text())
+            history = json.loads(log.read_text())
         except (OSError, ValueError):
             history = []
     if not isinstance(history, list):
@@ -116,5 +124,5 @@ def pytest_sessionfinish(session, exitstatus):
             "benchmarks": _session_records,
         }
     )
-    BENCH_LOG.write_text(json.dumps(history, indent=2) + "\n")
+    log.write_text(json.dumps(history, indent=2) + "\n")
     _session_records.clear()

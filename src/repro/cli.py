@@ -77,6 +77,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -138,6 +139,23 @@ __all__ = ["main", "build_parser"]
 MEASURED_EXPERIMENTS = ("fig11", "fig12")
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for simulation knobs: a float that is neither NaN
+    nor infinite (a NaN rate or fill window never advances the event
+    clock, so it must be rejected at the flag)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}"
+        ) from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number (got {text!r})"
+        )
+    return value
+
+
 def _add_performance_flags(
     parser: argparse.ArgumentParser,
     jobs: bool = True,
@@ -171,7 +189,7 @@ def _add_checkpoint_flags(parser: argparse.ArgumentParser) -> None:
              "--checkpoint-every simulated seconds",
     )
     parser.add_argument(
-        "--checkpoint-every", type=float, default=None,
+        "--checkpoint-every", type=_finite_float, default=None,
         metavar="SECS", dest="checkpoint_every_s",
         help="simulated seconds between checkpoints (with "
              "--checkpoint)",
@@ -194,7 +212,8 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
              "feeds arrival timestamps in",
     )
     parser.add_argument(
-        "--metrics-every", type=float, default=None, metavar="SECS",
+        "--metrics-every", type=_finite_float, default=None,
+        metavar="SECS",
         dest="metrics_every_s",
         help="sample rolling engine metrics (rates, queue depth, "
              "utilization, power) every SECS simulated seconds; "
@@ -214,7 +233,7 @@ def _add_traffic_flags(parser: argparse.ArgumentParser) -> None:
         help="arrival process (default: poisson)",
     )
     parser.add_argument(
-        "--qps", type=float, default=None,
+        "--qps", type=_finite_float, default=None,
         help="offered rate; omitted = 70%% of fleet capacity",
     )
     parser.add_argument(
@@ -234,21 +253,21 @@ def _add_traffic_flags(parser: argparse.ArgumentParser) -> None:
         help="largest same-model batch per launch (default: 8)",
     )
     parser.add_argument(
-        "--max-wait-ms", type=float, default=2.0,
+        "--max-wait-ms", type=_finite_float, default=2.0,
         help="longest a queue head waits to fill its batch (default: 2)",
     )
     parser.add_argument(
-        "--burst-factor", type=float, default=4.0,
+        "--burst-factor", type=_finite_float, default=4.0,
         help="burst-state rate multiplier for --arrival bursty",
     )
     parser.add_argument(
-        "--diurnal-period", type=float, default=60.0,
+        "--diurnal-period", type=_finite_float, default=60.0,
         dest="diurnal_period_s", metavar="SECONDS",
         help="day/night cycle length for --arrival diurnal "
              "(default: 60)",
     )
     parser.add_argument(
-        "--diurnal-amplitude", type=float, default=0.8,
+        "--diurnal-amplitude", type=_finite_float, default=0.8,
         help="peak-to-mean swing in [0, 1] for --arrival diurnal "
              "(default: 0.8)",
     )
@@ -389,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(overrides --instances)",
     )
     control_parser.add_argument(
-        "--tick-ms", type=float, default=10.0,
+        "--tick-ms", type=_finite_float, default=10.0,
         help="autoscaler evaluation interval (default: 10)",
     )
     control_parser.add_argument(
@@ -401,15 +420,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="autoscaler upper bound (default: fleet size)",
     )
     control_parser.add_argument(
-        "--util-low", type=float, default=0.3,
+        "--util-low", type=_finite_float, default=0.3,
         help="scale-down utilization threshold (default: 0.3)",
     )
     control_parser.add_argument(
-        "--util-high", type=float, default=0.85,
+        "--util-high", type=_finite_float, default=0.85,
         help="scale-up utilization threshold (default: 0.85)",
     )
     control_parser.add_argument(
-        "--target-delay-ms", type=float, default=5.0,
+        "--target-delay-ms", type=_finite_float, default=5.0,
         help="queue-delay governor setpoint (default: 5)",
     )
     control_parser.add_argument(
@@ -437,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
              "headroom (default: none)",
     )
     control_parser.add_argument(
-        "--spillover-hop-ms", type=float, default=0.5,
+        "--spillover-hop-ms", type=_finite_float, default=0.5,
         help="forwarding latency a spilled request pays (default: 0.5)",
     )
     control_parser.add_argument(

@@ -50,7 +50,7 @@ from ..serve.fleet import Fleet
 from ..serve.policies import make_policy
 from ..serve.profile import DEFAULT_WEIGHT_BANDWIDTH, build_mix
 from ..serve.sketch import StreamingLatencyStats
-from ..serve.simulator import ServingReport
+from ..serve.simulator import FINITE_FIELDS, ServingReport, check_finite
 from .autoscale import GOVERNORS, make_governor
 from .hetero import InstanceSpec, configure_instance
 from .slo import (
@@ -83,6 +83,17 @@ _EPS = 1e-12
 
 #: Default offered load (fraction of full-fleet capacity), as in serve.
 _DEFAULT_LOAD = 0.7
+
+#: The data-plane float fields plus the control knobs that must be
+#: finite (see :func:`repro.serve.simulator.check_finite`).
+_FINITE_FIELDS = FINITE_FIELDS + (
+    "tick_ms",
+    "util_low",
+    "util_high",
+    "target_delay_ms",
+    "forecast_alpha",
+    "forecast_beta",
+)
 
 #: Sizing governors start from the minimum fleet; pure-DVFS keeps all
 #: instances powered and only moves their frequency.
@@ -151,6 +162,7 @@ class ControlScenario:
     stats: str = extension_field("exact")
 
     def __post_init__(self) -> None:
+        check_finite(self, _FINITE_FIELDS)
         if self.requests < 1:
             raise ConfigError(f"requests must be >= 1 ({self.requests})")
         if self.fleet is not None and not self.fleet:

@@ -33,7 +33,7 @@ from .arrival import (
 )
 from .arena import RequestArena
 from .engine import Engine, EngineHooks, EngineRun
-from .fleet import Batch, Fleet, Instance, Request
+from .fleet import Batch, BucketQueue, Fleet, Instance, Request
 from .sketch import StreamingLatencyStats, TDigest
 from .policies import (
     POLICIES,
@@ -75,6 +75,7 @@ __all__ = [
     "TDigest",
     "StreamingLatencyStats",
     "Batch",
+    "BucketQueue",
     "Instance",
     "Fleet",
     "SchedulingPolicy",

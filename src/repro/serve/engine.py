@@ -88,7 +88,7 @@ import numpy as np
 from ..errors import ConfigError
 from .arena import Request, RequestArena
 from .arena import _class_pools  # noqa: F401  (re-export for clients)
-from .fleet import Fleet, Instance
+from .fleet import BucketQueue, Fleet, Instance
 from .policies import (
     LeastLoadedPolicy,
     RoundRobinPolicy,
@@ -298,7 +298,10 @@ class Engine:
         max_wait_s: Longest a queue head waits for its batch to fill.
         hooks: Decision points (admission, ticks, accounting).
         tick_s: ``on_tick`` interval; ``None`` schedules no ticks.
-        priority_queues: Keep instance queues priority-ordered.
+        priority_queues: Keep instance queues in ``(priority,
+            index)`` order: the engine gives every instance a
+            :class:`~repro.serve.fleet.BucketQueue` (a plain FIFO
+            ``deque`` otherwise).
     """
 
     __slots__ = (
@@ -346,6 +349,10 @@ class Engine:
         self.hooks = hooks if hooks is not None else EngineHooks()
         self.tick_s = tick_s
         self.priority_queues = priority_queues
+        queue_type = BucketQueue if priority_queues else deque
+        for instance in fleet.instances:
+            if type(instance.queue) is not queue_type:
+                instance.queue = queue_type(instance.queue)
         cls = type(self.hooks)
         # Bind overridden hooks only: the serve plane runs with all
         # of them at their base no-ops and pays zero dispatch for
@@ -773,25 +780,29 @@ class Engine:
         mw = self.max_wait_s
         prio_aware = self.priority_queues
         n = len(arena)
-        a_l = arena.arrival.tolist()
+        # Float columns are read and written through memoryviews
+        # (C doubles, no per-row float objects to build up front),
+        # and arrivals carry K trailing +inf sentinels so each
+        # instance's stride ends without a bounds check.  Wake
+        # deadlines are summed at the head: the same IEEE adds as a
+        # vectorized `arrival + mw (- _EPS)`.
+        a_l = memoryview(np.concatenate([arena.arrival, np.full(K, _INF)]))
         m_l = arena.model_idx.tolist()
         per_arr = arena.per_image
         per_tab = per_arr.tolist()
         setup_tab = arena.setup.tolist()
-        start_l = [-1.0] * n
-        fin_l = [-1.0] * n
-        # Wake deadlines and each request's unscaled queue-load
-        # contribution, pre-gathered exactly like the "ll" kernel.
-        dl_l = (arena.arrival + mw).tolist()
-        dle_l = (arena.arrival + mw - _EPS).tolist()
-        per_req = per_arr[arena.model_idx].tolist()
+        start_a = np.full(n, -1.0)
+        fin_a = np.full(n, -1.0)
+        start_l = memoryview(start_a)
+        fin_l = memoryview(fin_a)
         prio_l = arena.priority.tolist()
+        prio_of = prio_l.__getitem__
         deadline_shed = kind == "deadline"
         depth_shed = kind == "queue-depth"
         # SLO deadlines are absolute; the vectorized + _EPS is
         # bit-identical to the shedder's scalar `deadline + _EPS`.
         dl_eps_l = (
-            (arena.deadline + _EPS).tolist() if deadline_shed else None
+            memoryview(arena.deadline + _EPS) if deadline_shed else None
         )
         shed_ids: list[int] = []
         events = n
@@ -818,7 +829,8 @@ class Engine:
             nsetups = 0
             ev = _INF
             pos = j
-            nexta = a_l[pos] if pos < n else _INF
+            nexta = a_l[pos]
+            popleft = q.popleft
             while True:
                 if nexta <= ev:
                     # Arrival first at ties, like the (time, seq)
@@ -829,7 +841,8 @@ class Engine:
                     now = nexta
                     rid = pos
                     pos += K
-                    nexta = a_l[pos] if pos < n else _INF
+                    nexta = a_l[pos]
+                    m = m_l[rid]
                     # -- fused admission --------------------------
                     if deadline_shed:
                         # Inlined DeadlineShedding.admit over
@@ -839,32 +852,28 @@ class Engine:
                             pending = 0.0
                         if qs > 0.0:
                             pending += qs * scale
-                        if (now + pending) + per_s[
-                            m_l[rid]
-                        ] > dl_eps_l[rid]:
+                        if (now + pending) + per_s[m] > dl_eps_l[rid]:
                             shed_ids.append(rid)
                             continue
                     elif depth_shed and len(q) >= threshold:
                         shed_ids.append(rid)
                         continue
                     # -- priority-ordered enqueue -----------------
-                    # Instance.enqueue's tail scan on (priority,
-                    # index): stream indices strictly increase, so
-                    # the tuple compare reduces to priority <=.
+                    # The general loop's (priority, index) queue
+                    # order: q stays sorted and stream indices
+                    # strictly increase, so the request goes behind
+                    # every queued one of equal or more urgent
+                    # priority — a C-level bisect, which stays cheap
+                    # when an urgent arrival overtakes a backlog.
                     if prio_aware and q:
                         p = prio_l[rid]
                         if prio_l[q[-1]] <= p:
                             q.append(rid)
                         else:
-                            at = len(q)
-                            for qrid in reversed(q):
-                                if prio_l[qrid] <= p:
-                                    break
-                                at -= 1
-                            q.insert(at, rid)
+                            q.insert(bisect_right(q, p, key=prio_of), rid)
                     else:
                         q.append(rid)
-                    qs += per_req[rid]
+                    qs += per_tab[m]
                     if bu > now:
                         continue
                 else:
@@ -876,7 +885,7 @@ class Engine:
                     ev = _INF
                     continue
                 head = q[0]
-                if now < dle_l[head]:
+                if now < a_l[head] + mw - _EPS:
                     if len(q) >= mb:
                         model = m_l[head]
                         count = 0
@@ -887,10 +896,10 @@ class Engine:
                             if count == mb:
                                 break
                         if count != mb:
-                            ev = dl_l[head]
+                            ev = a_l[head] + mw
                             continue
                     else:
-                        ev = dl_l[head]
+                        ev = a_l[head] + mw
                         continue
                 # Inlined launch (Instance._serve float order):
                 # scaled per-image for timing, unscaled for the
@@ -905,7 +914,6 @@ class Engine:
                 peru = per_tab[model]
                 base = now + setup
                 count = 0
-                popleft = q.popleft
                 while True:
                     rid2 = popleft()
                     count += 1
@@ -944,8 +952,8 @@ class Engine:
             inst.batches += nbatches
             inst.setups += nsetups
             inst.queued_seconds = 0.0
-        arena.start[:] = start_l
-        arena.finish[:] = fin_l
+        arena.start[:] = start_a
+        arena.finish[:] = fin_a
         if shed_ids:
             arena.shed[shed_ids] = True
         self.policy._next += n
@@ -1140,7 +1148,6 @@ class Engine:
         )
         on_complete = self._on_complete
         hooks = self.hooks
-        priority = self.priority_queues
         tick_s = self.tick_s
         static_fleet = state.static_fleet
         heap = state.heap
@@ -1191,7 +1198,7 @@ class Engine:
                 ):
                     request.shed = True
                     continue
-                instance.enqueue(request, priority_aware=priority)
+                instance.enqueue(request)
                 self._maybe_launch(instance, now)
                 continue
             if not heap:
@@ -1793,7 +1800,13 @@ def _summarize_arena(
     stats: str,
 ) -> RequestSummary:
     """Vectorized summarizer over arena columns (exact floats: the
-    same subtractions/comparisons the object loop performed)."""
+    same subtractions/comparisons the object loop performed).
+
+    Completed rows are gathered once by integer index (a boolean mask
+    index costs ~10x more at half density) and class/model ids are
+    small non-negative after the ``+ 1`` shift, so ``bincount`` stands
+    in for ``np.unique`` plus per-id mask counts.
+    """
     shed = arena.shed
     finish = arena.finish
     arrival = arena.arrival
@@ -1804,12 +1817,15 @@ def _summarize_arena(
         raise ConfigError(
             f"simulation ended with {unserved} unserved requests"
         )
-    latencies = finish[done] - arrival[done]
-    waits = arena.start[done] - arrival[done]
+    rows = np.flatnonzero(done)
+    arrival_d = arrival[rows]
+    finish_d = finish[rows]
+    latencies = finish_d - arrival_d
+    waits = arena.start[rows] - arrival_d
     completed = int(latencies.size)
     if completed:
         counts = np.bincount(
-            arena.model_idx[done], minlength=len(arena.model_names)
+            arena.model_idx[rows], minlength=len(arena.model_names)
         ).tolist()
         model_counts = tuple(
             sorted(
@@ -1818,36 +1834,43 @@ def _summarize_arena(
                 if count
             )
         )
-        max_finish = float(finish[done].max())
+        max_finish = float(finish_d.max())
     else:
         model_counts = ()
         max_finish = float("-inf")
     buckets = None
     model_buckets = None
     if track_classes or track_models:
-        met = done & (finish <= arena.deadline)
+        met_d = finish_d <= arena.deadline[rows]
         if track_classes:
             buckets = {}
             ci = arena.class_idx
-            for cid in np.unique(ci).tolist():
-                cmask = ci == cid
+            ci_d = ci[rows]
+            offered = np.bincount(ci + 1).tolist()
+            met = np.bincount(ci_d[met_d] + 1, minlength=len(offered))
+            for shifted, count in enumerate(offered):
+                if not count:
+                    continue
+                cid = shifted - 1
                 name = "" if cid < 0 else arena.slo_names[cid]
-                sel = cmask & done
                 buckets[name] = [
-                    int(np.count_nonzero(cmask)),
-                    int(np.count_nonzero(cmask & met)),
-                    finish[sel] - arrival[sel],
+                    count,
+                    int(met[shifted]),
+                    latencies[ci_d == cid],
                 ]
         if track_models:
             model_buckets = {}
             mi = arena.model_idx
-            for mid in np.unique(mi).tolist():
-                mmask = mi == mid
-                sel = mmask & done
+            mi_d = mi[rows]
+            offered = np.bincount(mi).tolist()
+            met = np.bincount(mi_d[met_d], minlength=len(offered))
+            for mid, count in enumerate(offered):
+                if not count:
+                    continue
                 model_buckets[arena.model_names[mid]] = [
-                    int(np.count_nonzero(mmask)),
-                    int(np.count_nonzero(mmask & met)),
-                    finish[sel] - arrival[sel],
+                    count,
+                    int(met[mid]),
+                    latencies[mi_d == mid],
                 ]
     return _finish_summary(
         completed,

@@ -1,16 +1,19 @@
 """Requests, accelerator instances, and the fleet they form.
 
-Each instance models one EDEA accelerator behind its own FIFO batching
+Each instance models one EDEA accelerator behind its own batching
 queue: requests wait until a batch launches (full, or the head request
 has waited the configured maximum), then stream through the accelerator
 back to back — the design has no inter-image parallelism, so a batch's
 benefit is amortizing the model-switch weight load, not parallel
-compute.  The fleet is just the indexed collection a scheduling policy
-chooses from.
+compute.  Queues are FIFO (a plain ``deque``) on the serve plane and
+:class:`BucketQueue` — ``(priority, index)`` order — under SLO
+priorities.  The fleet is just the indexed collection a scheduling
+policy chooses from.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -18,7 +21,7 @@ from ..errors import ConfigError
 from .arena import Request
 from .profile import ServiceProfile
 
-__all__ = ["Request", "Batch", "Instance", "Fleet"]
+__all__ = ["Request", "Batch", "BucketQueue", "Instance", "Fleet"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,16 +42,122 @@ class Batch:
         return len(self.requests)
 
 
+class BucketQueue:
+    """An instance queue kept in exact ``(priority, index)`` order.
+
+    One FIFO ``deque`` per priority level plus the sorted list of the
+    levels that hold requests.  Iteration concatenates the buckets, so
+    the queue reads exactly like a deque sorted by ``(priority,
+    index)`` (lower priority value first): ``[0]`` is the most urgent,
+    oldest request, ``[-1]`` the newest of the least urgent class, and
+    head-of-line batching crosses bucket boundaries unchanged.
+
+    ``append`` is O(1) whenever the request's index is at or above its
+    bucket's tail index, which holds for every engine stream (arena
+    ``arange`` indices, tenancy's reindexed merges, checkpoints
+    restored in stored order); any other request is inserted in place
+    inside its bucket, so the order never rests on arrival order.
+    ``popleft``, ``remove``, ``clear``, ``extend``, ``len``, iteration
+    and head/tail indexing follow the ``deque`` protocol the engine,
+    the shedders and checkpoints use.
+    """
+
+    __slots__ = ("_buckets", "_levels", "_len")
+
+    def __init__(self, requests=()) -> None:
+        self._buckets: dict[int, deque] = {}
+        self._levels: list[int] = []
+        self._len = 0
+        self.extend(requests)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        buckets = self._buckets
+        for level in self._levels:
+            yield from buckets[level]
+
+    def __getitem__(self, position: int) -> Request:
+        """The head (``[0]``) or the tail (``[-1]``); the queue has no
+        other random access."""
+        if position not in (0, -1):
+            raise IndexError("only [0] and [-1] are indexable")
+        if not self._len:
+            raise IndexError("queue is empty")
+        return self._buckets[self._levels[position]][position]
+
+    def __repr__(self) -> str:
+        return f"BucketQueue({list(self)!r})"
+
+    def append(self, request: Request) -> None:
+        level = request.priority
+        bucket = self._buckets.get(level)
+        if bucket is None:
+            bucket = self._buckets[level] = deque()
+        if not bucket:
+            insort(self._levels, level)
+            bucket.append(request)
+        else:
+            index = request.index
+            if bucket[-1].index <= index:
+                bucket.append(request)
+            else:
+                pos = len(bucket)
+                for queued in reversed(bucket):
+                    if queued.index <= index:
+                        break
+                    pos -= 1
+                bucket.insert(pos, request)
+        self._len += 1
+
+    def extend(self, requests) -> None:
+        for request in requests:
+            self.append(request)
+
+    def popleft(self) -> Request:
+        if not self._len:
+            raise IndexError("pop from an empty queue")
+        levels = self._levels
+        bucket = self._buckets[levels[0]]
+        request = bucket.popleft()
+        if not bucket:
+            del levels[0]
+        self._len -= 1
+        return request
+
+    def remove(self, request: Request) -> None:
+        """Drop ``request``; O(1) for its bucket's tail (the
+        priority-preemptive shedding victim)."""
+        level = request.priority
+        bucket = self._buckets.get(level)
+        if not bucket:
+            raise ValueError("request is not queued")
+        if bucket[-1] is request:
+            bucket.pop()
+        else:
+            bucket.remove(request)
+        if not bucket:
+            self._levels.remove(level)
+        self._len -= 1
+
+    def clear(self) -> None:
+        self._buckets.clear()
+        self._levels.clear()
+        self._len = 0
+
+
 @dataclass(slots=True)
 class Instance:
-    """One accelerator instance with its FIFO batching queue.
+    """One accelerator instance with its batching queue.
 
     Attributes:
         index: Position in the fleet.
         busy_until: Completion time of the in-flight batch (<= now when
             idle).
         loaded_model: Model whose weights are resident (None when cold).
-        queue: Waiting requests in arrival order.
+        queue: Waiting requests: a ``deque`` in arrival order, or a
+            :class:`BucketQueue` in ``(priority, index)`` order.
         busy_seconds: Accumulated service time (utilization numerator).
         served: Completed request count.
         batches: Launched batch count.
@@ -132,32 +241,15 @@ class Instance:
         for name in self._STATE_FIELDS:
             setattr(self, name, state[name])
 
-    def enqueue(
-        self, request: Request, priority_aware: bool = False
-    ) -> None:
-        """Append a request; with ``priority_aware`` the queue is kept
-        sorted by ``(priority, index)`` so urgent classes batch first.
+    def enqueue(self, request: Request) -> None:
+        """Append a request to the queue.
 
-        The insertion point is found scanning from the *tail*: arrivals
-        have monotonically increasing indices, so same-or-lower-priority
-        traffic (the common case) appends in O(1) and only a
-        strictly-higher-priority arrival walks past the lower-priority
-        backlog it overtakes — keeping the overload baselines, whose
-        single-class queues grow long, linear rather than quadratic.
+        The queue's own type decides the order: a plain ``deque`` is
+        FIFO, a :class:`BucketQueue` keeps ``(priority, index)`` order
+        (the engine installs one per instance when ``priority_queues``
+        is set).
         """
-        if priority_aware and self.queue:
-            key = (request.priority, request.index)
-            pos = len(self.queue)
-            for queued in reversed(self.queue):
-                if (queued.priority, queued.index) <= key:
-                    break
-                pos -= 1
-            if pos == len(self.queue):
-                self.queue.append(request)
-            else:
-                self.queue.insert(pos, request)
-        else:
-            self.queue.append(request)
+        self.queue.append(request)
         self.queued_seconds += request.profile.per_image_seconds
 
     def remove(self, request: Request) -> None:
@@ -230,7 +322,7 @@ class Instance:
 
     def next_batch(self, max_batch: int) -> Batch:
         """The batch that would launch now: the longest same-model run
-        at the queue head, capped at ``max_batch`` (FIFO order is never
+        at the queue head, capped at ``max_batch`` (queue order is never
         violated — a different model behind the head waits its turn)."""
         if not self.queue:
             raise ConfigError("no queued requests to batch")

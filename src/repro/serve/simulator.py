@@ -17,6 +17,7 @@ content keys and reports reproducible across processes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +50,32 @@ __all__ = [
 #: Default offered load as a fraction of fleet capacity when no QPS is
 #: requested: high enough to queue, low enough to be stable.
 _DEFAULT_LOAD = 0.7
+
+#: The float fields :class:`ServingScenario` (and the control plane's
+#: scenario, which mirrors them) require to be finite.  Range checks
+#: alone let NaN through (``nan <= 0`` is False), and a NaN rate or fill
+#: window never advances the event clock.
+FINITE_FIELDS = (
+    "qps",
+    "burst_factor",
+    "max_wait_ms",
+    "weight_bandwidth",
+    "diurnal_period_s",
+    "diurnal_amplitude",
+)
+
+
+def check_finite(scenario, names) -> None:
+    """Reject a non-finite value in any of the float fields ``names``
+    (``None`` means "unset" and passes).
+
+    Raises:
+        ConfigError: Naming the first NaN or infinite field.
+    """
+    for name in names:
+        value = getattr(scenario, name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite ({value})")
 
 
 @dataclass(frozen=True)
@@ -104,6 +131,7 @@ class ServingScenario:
     stats: str = extension_field("exact")
 
     def __post_init__(self) -> None:
+        check_finite(self, FINITE_FIELDS)
         if self.requests < 1:
             raise ConfigError(f"requests must be >= 1 ({self.requests})")
         if self.instances < 1:

@@ -13,7 +13,7 @@ from repro.control import (
 )
 from repro.errors import ConfigError
 from repro.serve import Request, build_mix
-from repro.serve.fleet import Instance
+from repro.serve.fleet import BucketQueue, Instance
 
 MIX = build_mix("v1-224")
 PROFILE = MIX.profiles[0]
@@ -151,12 +151,12 @@ class TestShedders:
         assert not admitted
 
     def test_priority_preempts_lower_class(self):
-        instance = Instance(index=0)
+        instance = Instance(index=0, queue=BucketQueue())
         shedder = make_shedder("priority", queue_threshold=2)
         low_a = _request(0, priority=2)
         low_b = _request(1, priority=2)
-        instance.enqueue(low_a, priority_aware=True)
-        instance.enqueue(low_b, priority_aware=True)
+        instance.enqueue(low_a)
+        instance.enqueue(low_b)
         urgent = _request(2, priority=0)
         admitted, victim = shedder.admit(urgent, instance, 0.0)
         assert admitted
@@ -165,9 +165,9 @@ class TestShedders:
         assert instance.queue_depth() == 1
 
     def test_priority_sheds_equal_class_arrival(self):
-        instance = Instance(index=0)
+        instance = Instance(index=0, queue=BucketQueue())
         shedder = make_shedder("priority", queue_threshold=1)
-        instance.enqueue(_request(0, priority=1), priority_aware=True)
+        instance.enqueue(_request(0, priority=1))
         admitted, victim = shedder.admit(
             _request(1, priority=1), instance, 0.0
         )
