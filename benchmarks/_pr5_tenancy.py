@@ -6,7 +6,12 @@ epoch-stepped rebuild: every member fleet runs one-shot through
 exchange.  Kept verbatim so the engine benchmark can hold the
 epoch-stepped production path to its throughput (the rebuild must stay
 within 1.1x of this loop on the two-fleet benchmark scenario) while
-the equivalence tests pin its *reports* bit-for-bit.
+the equivalence tests pin its *reports* bit-for-bit.  Its clone +
+sorted merge of receiver streams is an independent oracle of the
+production receiver-arena merge; the one adaptation is that the
+engine only runs arenas, so a merged view list is packed into one
+before ``execute_controlled`` and its outcomes copied back to the
+views afterwards.
 
 Not part of the package: benchmark support only.
 """
@@ -23,17 +28,64 @@ from repro.control.simulator import (
     execute_controlled,
 )
 from repro.control.slo import SLOClass
-from repro.control.tenancy import (
-    MultiFleetReport,
-    MultiFleetScenario,
-    _forward_target,
-)
+from repro.control.tenancy import MultiFleetReport, MultiFleetScenario
 from repro.power.dvfs import DVFSModel
+from repro.serve.arena import RequestArena
 from repro.serve.engine import build_requests
 from repro.serve.fleet import Request
 from repro.serve.simulator import ServingReport
 
 __all__ = ["simulate_multi_fleet_monolithic"]
+
+
+def _forward_target(
+    request: Request,
+    receivers: list[int],
+    mixes: dict,
+    hop_s: float,
+):
+    """The sibling a shed request spills to: the first receiver (most
+    headroom first) that serves the model and can still make the
+    deadline to first order — hop plus one nominal service time."""
+    for k in receivers:
+        mix = mixes[k]
+        profile = None
+        for p in mix.profiles:
+            if p.name == request.model:
+                profile = p
+                break
+        if profile is None:
+            continue
+        if (
+            request.arrival + hop_s + profile.per_image_seconds
+            <= request.deadline
+        ):
+            return k, profile
+    return None, None
+
+
+def _pack(views: list[Request]) -> RequestArena:
+    """One arena holding ``views``' rows in list order (the engine runs
+    arenas only); side tables are interned in first-seen order."""
+    profiles: dict[str, object] = {}
+    classes: dict[str, int] = {}
+    for view in views:
+        profiles.setdefault(view.model, view.profile)
+        if view.slo:
+            classes.setdefault(view.slo, len(classes))
+    models = {name: i for i, name in enumerate(profiles)}
+    arena = RequestArena(
+        len(views),
+        tuple(profiles),
+        tuple(profiles.values()),
+        tuple(classes),
+    )
+    arena.arrival[:] = [view.arrival for view in views]
+    arena.deadline[:] = [view.deadline for view in views]
+    arena.priority[:] = [view.priority for view in views]
+    arena.model_idx[:] = [models[view.model] for view in views]
+    arena.class_idx[:] = [classes.get(view.slo, -1) for view in views]
+    return arena
 
 
 def simulate_multi_fleet_monolithic(
@@ -116,10 +168,20 @@ def simulate_multi_fleet_monolithic(
         stream_times = np.array(
             [request.arrival for request in requests]
         )
+        arena = (
+            requests
+            if isinstance(requests, RequestArena)
+            else _pack(requests)
+        )
         reports[k] = execute_controlled(
             member, fleet, mix, capacity, rates[k],
-            stream_times, requests, dvfs_model=dvfs_model,
+            stream_times, arena, dvfs_model=dvfs_model,
         )
+        if arena is not requests:
+            for i, request in enumerate(requests):
+                request.shed = arena.shed[i]
+                request.start = arena.start[i]
+                request.finish = arena.finish[i]
 
     for k in donors:
         run_member(k, home_requests[k])

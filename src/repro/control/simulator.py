@@ -37,6 +37,7 @@ from ..arch.params import EDEA_CONFIG, ArchConfig
 from ..errors import ConfigError
 from ..parallel.cache import extension_field
 from ..power.dvfs import DVFSModel
+from ..serve.arena import RequestArena
 from ..serve.arrival import make_arrivals
 from ..serve.engine import (
     Engine,
@@ -526,7 +527,7 @@ class ControlExecution:
     capacity: float
     qps: float
     times: np.ndarray
-    requests: list
+    requests: RequestArena
     engine: Engine
 
 
@@ -537,7 +538,7 @@ def prepare_controlled(
     capacity: float,
     qps: float,
     times: np.ndarray,
-    requests: list,
+    requests: RequestArena,
     dvfs_model: DVFSModel | None = None,
     *,
     obs=None,
@@ -740,7 +741,7 @@ def execute_controlled(
     capacity: float,
     qps: float,
     times: np.ndarray,
-    requests: list,
+    requests: RequestArena,
     dvfs_model: DVFSModel | None = None,
     *,
     obs=None,
@@ -752,8 +753,9 @@ def execute_controlled(
     hooks, runs the engine to drain, and aggregates the report —
     now composed of :func:`prepare_controlled` and
     :func:`finalize_controlled` around one unbounded ``run_until``.
-    Multi-fleet simulation reuses it per member fleet with correlated
-    (and spillover-merged) streams the caller generated.
+    ``requests`` is the stream the caller built, as a
+    :class:`~repro.serve.arena.RequestArena` (the engine runs no
+    other kind).
     """
     execution = prepare_controlled(
         scenario, fleet, mix, capacity, qps, times, requests,
@@ -767,9 +769,9 @@ def simulate_controlled_detailed(
     scenario: ControlScenario,
     *,
     obs=None,
-) -> tuple[ServingReport, list]:
+) -> tuple[ServingReport, RequestArena]:
     """Like :func:`simulate_controlled`, also returning the drained
-    request objects (windowed tail analyses, e.g. p99 over a diurnal
+    request arena (windowed tail analyses, e.g. p99 over a diurnal
     ramp, need per-request outcomes the aggregate report folds away).
     """
     dvfs_model = DVFSModel()

@@ -25,7 +25,10 @@ already ran.
 Every member fleet is its own :class:`~repro.serve.engine.Engine`,
 advanced through :meth:`~repro.serve.engine.Engine.run_until`-bounded
 *epochs* with the spillover exchange at the phase barrier (donors
-drain, shed rows are forwarded, receivers merge and drain).  Epoch
+drain, shed rows are forwarded as ``(donor arena, row)`` references,
+and each receiver's home arena is merged with its spill-ins into one
+new :class:`~repro.serve.arena.RequestArena` before it drains — no
+request is ever copied into an object of its own).  Epoch
 length and process sharding (``epoch_s``/``jobs``, keyword-only) are
 execution details — any positive epoch and any job count reproduce
 the identical report — and everything — the latent path, per-fleet
@@ -46,8 +49,7 @@ from ..power.dvfs import DVFSModel
 from ..serve.arena import RequestArena
 from ..serve.arrival import SharedModulator
 from ..serve.engine import build_requests
-from ..serve.fleet import Request
-from ..serve.simulator import ServingReport
+from ..serve.simulator import ServingReport, check_finite
 from .simulator import (
     _DEFAULT_LOAD,
     ControlScenario,
@@ -110,6 +112,17 @@ class MultiFleetScenario:
                 f"unknown spillover policy {self.spillover!r} "
                 "(known: none, deadline)"
             )
+        check_finite(
+            self,
+            (
+                "period_s",
+                "amplitude",
+                "burst_factor",
+                "burst_share",
+                "mean_dwell_s",
+                "spillover_hop_ms",
+            ),
+        )
         if self.spillover_hop_ms < 0:
             raise ConfigError(
                 "spillover_hop_ms must be >= 0 "
@@ -199,41 +212,98 @@ class MultiFleetReport:
 
 
 def _forward_target(
-    request: Request,
+    request,
     receivers: list[int],
     mixes: dict,
     hop_s: float,
-):
+) -> int | None:
     """The sibling a shed request spills to: the first receiver (most
     headroom first) that serves the model and can still make the
     deadline to first order — hop plus one nominal service time."""
     for k in receivers:
-        mix = mixes[k]
-        profile = None
-        for p in mix.profiles:
-            if p.name == request.model:
-                profile = p
+        for profile in mixes[k].profiles:
+            if profile.name == request.model:
+                if (
+                    request.arrival + hop_s + profile.per_image_seconds
+                    <= request.deadline
+                ):
+                    return k
                 break
-        if profile is None:
-            continue
-        if (
-            request.arrival + hop_s + profile.per_image_seconds
-            <= request.deadline
-        ):
-            return k, profile
-    return None, None
+    return None
 
 
-def _drain_epochs(engine, arena, epoch_s: float) -> list[int]:
-    """Advance one member engine to drain in ``epoch_s``-bounded
-    ``run_until`` slices.
+def _merge_spill_ins(
+    home: RequestArena,
+    spill_ins: list[tuple[RequestArena, int]],
+    hop_s: float,
+) -> tuple[RequestArena, np.ndarray]:
+    """A receiver's request stream: ``home`` plus its spill-ins, as one
+    new arena in arrival order.
+
+    ``spill_ins`` are ``(donor arena, row)`` references in forwarding
+    order.  Each arrives at its donor arrival + ``hop_s`` and keeps its
+    deadline, priority, model and SLO class; models and classes are
+    re-interned against the receiver's side tables, donor classes the
+    receiver lacks appended to ``slo_names`` in first-seen order.  The
+    merge is a stable sort over home rows then spill-ins, so on an
+    arrival tie home rows stay first, and ``index`` is the merged row.
+
+    Returns the merged arena and, per spill-in, its merged row.
+    """
+    model_pos = {name: i for i, name in enumerate(home.model_names)}
+    slo_names = list(home.slo_names)
+    class_pos = {name: i for i, name in enumerate(slo_names)}
+    m = len(spill_ins)
+    arrival = np.empty(m, dtype=np.float64)
+    deadline = np.empty(m, dtype=np.float64)
+    priority = np.empty(m, dtype=np.int64)
+    model_idx = np.empty(m, dtype=np.int64)
+    class_idx = np.full(m, -1, dtype=np.int64)
+    for j, (donor, row) in enumerate(spill_ins):
+        arrival[j] = donor.arrival[row]
+        deadline[j] = donor.deadline[row]
+        priority[j] = donor.priority[row]
+        model_idx[j] = model_pos[donor.model_names[donor.model_idx[row]]]
+        ci = donor.class_idx[row]
+        if ci >= 0:
+            name = donor.slo_names[ci]
+            if name not in class_pos:
+                class_pos[name] = len(slo_names)
+                slo_names.append(name)
+            class_idx[j] = class_pos[name]
+    arrival += hop_s
+
+    n = len(home) + m
+    order = np.argsort(
+        np.concatenate([home.arrival, arrival]), kind="stable"
+    )
+    merged = RequestArena(
+        n, home.model_names, home.profiles, tuple(slo_names)
+    )
+    for column, spilled in (
+        ("arrival", arrival),
+        ("deadline", deadline),
+        ("priority", priority),
+        ("model_idx", model_idx),
+        ("class_idx", class_idx),
+    ):
+        getattr(merged, column)[:] = np.concatenate(
+            [getattr(home, column), spilled]
+        )[order]
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+    return merged, position[len(home):]
+
+
+def _drain_epochs(engine, arena: RequestArena, epoch_s: float) -> list[int]:
+    """Advance one member engine over ``arena`` to drain in
+    ``epoch_s``-bounded ``run_until`` slices.
 
     Returns the arena rows the member's admission control shed, in
     stream order, collected per consumed arrival-cursor window — the
     rows eligible for spillover at the next exchange barrier.  (Sheds
     happen only at admission, so the concatenated windows cover every
-    shed request exactly once.)  ``arena`` may be ``None`` when the
-    caller does not forward (receivers, plain lists of merged views).
+    shed request exactly once.)
 
     The slicing is bit-for-bit the one-shot run: ``run_until`` is the
     same loop with a horizon check.
@@ -244,7 +314,7 @@ def _drain_epochs(engine, arena, epoch_s: float) -> list[int]:
     while not engine.finished:
         engine.run_until(t)
         cursor = engine.state.cursor
-        if arena is not None and cursor > prev:
+        if cursor > prev:
             shed_rows.extend(arena.shed_indices(prev, cursor))
         prev = cursor
         t += epoch_s
@@ -255,29 +325,16 @@ def _member_point(payload: dict):
     """Worker half of the spillover barrier: run one member fleet.
 
     ``payload`` is checkpoint-shaped — the member's frozen scenario
-    plus its materialized request stream (home arena, and for
-    receivers the spill-in clones forwarded at the barrier).  The
+    plus its materialized request arena (for receivers, the home
+    traffic already merged with the spill-ins at the barrier).  The
     worker rebuilds the fleet deterministically, epoch-steps the
     engine to drain, and ships back the report together with the
-    mutated outcome columns, which the parent overlays by stream
-    position (subprocess arena mutations never propagate by
+    arena's outcome columns, which the parent writes back into its
+    own copy (subprocess arena mutations never propagate by
     themselves).
     """
     member = payload["scenario"]
-    home = payload["requests"]
-    clones = payload["spill_ins"]
-    epoch_s = payload["epoch_s"]
-    if clones:
-        # Stable by arrival: home requests keep their relative order,
-        # spill-ins theirs — identical to the parent-side merge.
-        stream = sorted(
-            [*home, *clones],
-            key=lambda request: request.arrival,
-        )
-        for i, request in enumerate(stream):
-            request.index = i
-    else:
-        stream = home
+    arena = payload["requests"]
     dvfs_model = DVFSModel()
     fleet, mix, capacity = build_control_fleet(member, dvfs_model)
     qps = (
@@ -285,22 +342,13 @@ def _member_point(payload: dict):
         if member.qps is not None
         else _DEFAULT_LOAD * capacity
     )
-    stream_times = np.array(
-        [request.arrival for request in stream]
-    )
     execution = prepare_controlled(
         member, fleet, mix, capacity, qps,
-        stream_times, stream, dvfs_model=dvfs_model,
+        arena.arrival, arena, dvfs_model=dvfs_model,
     )
-    _drain_epochs(execution.engine, None, epoch_s)
+    _drain_epochs(execution.engine, arena, payload["epoch_s"])
     report = finalize_controlled(execution)
-    return (
-        report,
-        home.shed.copy(),
-        home.start.copy(),
-        home.finish.copy(),
-        [(clone.shed, clone.finish) for clone in clones],
-    )
+    return report, arena.shed, arena.start, arena.finish
 
 
 def simulate_multi_fleet(
@@ -348,9 +396,9 @@ def simulate_multi_fleet(
     dvfs_model = DVFSModel()
     if epoch_s is None:
         epoch_s = scenario.period_s
-    if epoch_s <= 0:
+    if not 0 < epoch_s < float("inf"):
         raise ConfigError(
-            f"epoch_s must be positive ({epoch_s})"
+            f"epoch_s must be positive and finite ({epoch_s})"
         )
 
     n_fleets = len(scenario.fleets)
@@ -400,12 +448,15 @@ def simulate_multi_fleet(
 
     arrival_label = f"shared-{scenario.modulator}"
     reports: list[ServingReport | None] = [None] * n_fleets
-    # clone -> original, to fold sibling outcomes back per request.
-    spilled: list[tuple[Request, Request]] = []
-    # Views are created on demand, so identity is per access; key
-    # forwarded originals by (fleet, index) instead of id().
-    forwarded: set[tuple[int, int]] = set()
-    spill_ins: list[list[Request]] = [[] for _ in range(n_fleets)]
+    # Each member's request stream: its home arena, replaced for a
+    # receiver by the merge with its spill-ins at the barrier.
+    streams: list[RequestArena] = list(home_requests)
+    # Per receiver: the forwarded (donor arena, row) references, and
+    # after the merge their rows in the receiver's stream.
+    spill_ins: list[list[tuple[RequestArena, int]]] = [
+        [] for _ in range(n_fleets)
+    ]
+    spill_rows: list[np.ndarray | None] = [None] * n_fleets
     # Donor class specs by name (first definition wins), so a receiver
     # can report spill-ins whose class it does not define itself.
     class_specs: dict[str, SLOClass] = {}
@@ -417,35 +468,28 @@ def simulate_multi_fleet(
         member = replace(
             scenario.fleets[k], arrival=arrival_label
         )
-        own = {cls.name for cls in member.slo_classes}
-        foreign = []
-        for request in spill_ins[k]:
-            if request.slo not in own:
-                own.add(request.slo)
-                foreign.append(class_specs[request.slo])
+        foreign = streams[k].slo_names[len(home_requests[k].slo_names):]
         if foreign:
             # Spill-ins keep their donor class: grow the receiver's
             # reporting classes so its per-class table and attainment
             # cover every request its engine processed.
             member = replace(
                 member,
-                slo_classes=member.slo_classes + tuple(foreign),
+                slo_classes=member.slo_classes
+                + tuple(class_specs[name] for name in foreign),
             )
         return member
 
-    def run_member(k: int, requests) -> list[int]:
+    def run_member(k: int) -> list[int]:
         """In-process member run: epoch-stepped on the parent's own
-        fleet and arena; returns the shed rows (stream order)."""
+        fleet and stream; returns the shed rows (stream order)."""
         fleet, mix, capacity = setups[k]
-        stream_times = np.array(
-            [request.arrival for request in requests]
-        )
+        arena = streams[k]
         execution = prepare_controlled(
             member_scenario(k), fleet, mix, capacity, rates[k],
-            stream_times, requests, dvfs_model=dvfs_model,
+            arena.arrival, arena, dvfs_model=dvfs_model,
             obs=obs, obs_pid=k,
         )
-        arena = requests if isinstance(requests, RequestArena) else None
         shed_rows = _drain_epochs(execution.engine, arena, epoch_s)
         reports[k] = finalize_controlled(execution)
         return shed_rows
@@ -459,23 +503,10 @@ def simulate_multi_fleet(
         arena = home_requests[k]
         for row in shed_rows:
             request = arena.view(row)
-            target, profile = _forward_target(
-                request, receivers, mixes, hop_s
-            )
+            target = _forward_target(request, receivers, mixes, hop_s)
             if target is None:
                 continue
-            clone = Request(
-                index=0,  # re-indexed after the receiver merge
-                model=request.model,
-                profile=profile,
-                arrival=request.arrival + hop_s,
-                slo=request.slo,
-                priority=request.priority,
-                deadline=request.deadline,
-            )
-            spilled.append((clone, request))
-            forwarded.add((k, request.index))
-            spill_ins[target].append(clone)
+            spill_ins[target].append((arena, row))
             if obs is not None:
                 obs.spill(
                     k, target, request, scenario.spillover_hop_ms
@@ -485,23 +516,17 @@ def simulate_multi_fleet(
         return {
             "kind": "control",
             "scenario": member_scenario(k),
-            "requests": home_requests[k],
-            "spill_ins": list(spill_ins[k]),
+            "requests": streams[k],
             "epoch_s": epoch_s,
         }
 
     def overlay(k: int, result) -> list[int]:
-        report, shed_col, start_col, finish_col, clone_out = result
+        report, shed_col, start_col, finish_col = result
         reports[k] = report
-        arena = home_requests[k]
+        arena = streams[k]
         arena.shed[:] = shed_col
         arena.start[:] = start_col
         arena.finish[:] = finish_col
-        for clone, (c_shed, c_finish) in zip(
-            spill_ins[k], clone_out
-        ):
-            clone.shed = c_shed
-            clone.finish = c_finish
         return arena.shed_indices()
 
     # Subprocess workers cannot feed the in-process recorder/timelines,
@@ -518,7 +543,7 @@ def simulate_multi_fleet(
     def run_phases() -> None:
         # Donor phase: donors epoch-step to drain (donors never
         # receive, so they shard freely); their sheds cross the
-        # exchange barrier into the receivers' spill-in buffers.
+        # exchange barrier as references into the donor arenas.
         if executor is not None and len(donors) > 1:
             for k, result in zip(
                 donors,
@@ -529,12 +554,16 @@ def simulate_multi_fleet(
                 forward(k, overlay(k, result))
         else:
             for k in donors:
-                forward(k, run_member(k, home_requests[k]))
+                forward(k, run_member(k))
 
-        # Receiver phase, after the barrier: home traffic merged with
-        # the forwarded spill-ins in arrival order (stable: home
-        # requests keep their relative order), then epoch-stepped to
-        # drain.
+        # The barrier merge: each receiver's home traffic and its
+        # spill-ins become one arena in arrival order, then the
+        # receivers epoch-step to drain.
+        for k in receivers:
+            if spill_ins[k]:
+                streams[k], spill_rows[k] = _merge_spill_ins(
+                    home_requests[k], spill_ins[k], hop_s
+                )
         if executor is not None and len(receivers) > 1:
             for k, result in zip(
                 receivers,
@@ -545,13 +574,7 @@ def simulate_multi_fleet(
                 overlay(k, result)
         else:
             for k in receivers:
-                merged = sorted(
-                    [*home_requests[k], *spill_ins[k]],
-                    key=lambda request: request.arrival,
-                )
-                for i, request in enumerate(merged):
-                    request.index = i
-                run_member(k, merged)
+                run_member(k)
 
     if executor is not None:
         # One pool spans both phases: the barrier exchanges payloads,
@@ -561,30 +584,31 @@ def simulate_multi_fleet(
     else:
         run_phases()
 
-    # End-to-end accounting per original request.
-    completed = met = terminally_shed = 0
-    spill_completed = spill_met = 0
-    final_latencies: list[float] = []
-    for k in range(n_fleets):
-        for request in home_requests[k]:
-            if not request.shed:
-                completed += 1
-                met += request.finish <= request.deadline
-                final_latencies.append(
-                    request.finish - request.arrival
-                )
-            elif (k, request.index) not in forwarded:
-                terminally_shed += 1
-    for clone, original in spilled:
-        if clone.shed:
-            terminally_shed += 1
-            continue
-        completed += 1
-        spill_completed += 1
-        hit = clone.finish <= clone.deadline
-        met += hit
-        spill_met += hit
-        final_latencies.append(clone.finish - original.arrival)
+    # End-to-end accounting per original request, read off each
+    # member's stream.  Every shed row is terminal except a donor's
+    # forwarded ones, and a spill-in's latency runs from its donor
+    # arrival (the hop included).
+    completed = met = shed = spill_completed = spill_met = 0
+    latencies = []
+    for k, arena in enumerate(streams):
+        done = ~arena.shed
+        hit = done & (arena.finish <= arena.deadline)
+        origin = arena.arrival
+        rows = spill_rows[k]
+        if rows is not None:
+            origin = origin.copy()
+            origin[rows] = [
+                donor.arrival[row] for donor, row in spill_ins[k]
+            ]
+            spill_completed += int(np.count_nonzero(done[rows]))
+            spill_met += int(np.count_nonzero(hit[rows]))
+        n_done = int(np.count_nonzero(done))
+        completed += n_done
+        shed += len(arena) - n_done
+        met += int(np.count_nonzero(hit))
+        latencies.append(arena.finish[done] - origin[done])
+    spilled = sum(len(pairs) for pairs in spill_ins)
+    final_latencies = np.concatenate(latencies)
 
     offered = sum(member.requests for member in scenario.fleets)
     energy = sum(
@@ -596,15 +620,15 @@ def simulate_multi_fleet(
         spillover=scenario.spillover,
         offered_requests=offered,
         completed_requests=completed,
-        shed_requests=terminally_shed,
-        spilled_requests=len(spilled),
+        shed_requests=shed - spilled,
+        spilled_requests=spilled,
         spill_completed=spill_completed,
-        spill_met=int(spill_met),
-        met_requests=int(met),
+        spill_met=spill_met,
+        met_requests=met,
         attainment=met / offered if offered else 0.0,
         latency_p99_s=(
             float(np.percentile(final_latencies, 99))
-            if final_latencies
+            if final_latencies.size
             else 0.0
         ),
         energy_joules=float(energy),

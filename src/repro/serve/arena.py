@@ -10,25 +10,25 @@ so per-request state is 8-byte column slots instead of ~400-byte
 Python objects and the engine's fast paths can process it with
 vectorized kernels.
 
-The object API did not go away: :class:`Request` is now a *view* — a
-two-slot proxy holding ``(arena, i)`` whose attribute reads and writes
-go straight through to the columns.  Views keep every object-era
-client working unchanged:
+The arena is the one request representation: the engine, the
+summarizer and the control plane accept nothing else (multi-fleet
+spillover merges forwarded rows into a new receiver arena rather than
+copying requests).  The object API lives on as :class:`Request`, a
+*view* — a two-slot proxy holding ``(arena, i)`` whose attribute reads
+and writes go straight through to the columns:
 
-* hooks (shedding, governors) receive views and mutate
+* hooks (shedding, governors) and policies receive views and mutate
   ``request.shed`` / read ``request.deadline`` as before;
-* tenancy spillover clones a view into a fresh single-row arena and
-  re-times it, then merges donor views into receiver streams;
 * the legacy keyword constructor ``Request(index=..., model=...,
-  profile=..., arrival=...)`` still works (it builds a private
-  single-row arena), so tests and ad-hoc callers need no changes.
+  profile=..., arrival=...)`` builds a private single-row arena — for
+  tests and ad-hoc callers only (e.g. enqueueing a request onto an
+  instance by hand); no simulator path builds one.
 
 Invariants:
 
 * A view *writes through*: mutating a view mutates its arena, and
-  every view of the same row observes the write.  This is load-bearing
-  for multi-fleet spillover, where donor arenas are re-read after
-  receiver runs.
+  every view of the same row observes the write — an admission hook
+  that sheds through a view is what the summarizer reads back.
 * :meth:`RequestArena.build` is RNG-draw-identical to the object-era
   ``build_requests`` loop: same uniform block, same inverse-CDF
   boundaries, same model-then-class interleave — fixed seeds reproduce
@@ -281,7 +281,8 @@ class Request:
     ``queue_wait`` / ``met_deadline`` helpers — over ``(arena, i)``.
     The legacy constructor builds a private single-row arena, so
     ``Request(index=0, model=..., profile=..., arrival=...)`` keeps
-    working for tests, hooks, and tenancy spill clones.
+    working for tests and ad-hoc callers; simulators only ever create
+    views of their run's arena.
 
     Equality is identity (the dataclass era's value-``__eq__`` made
     requests unhashable and was never relied on: queue membership

@@ -81,7 +81,6 @@ from collections import deque
 from itertools import islice
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Sequence
 
 import numpy as np
 
@@ -157,16 +156,14 @@ class EngineHooks:
         """Columnar admission decision over an arena request stream.
 
         The engine probes this hook once at construction; when it is
-        overridden and the request stream is a
-        :class:`~repro.serve.arena.RequestArena`, the general loop
-        calls it *instead of* :meth:`on_arrival`, passing the arena
+        overridden, the general loop calls it *instead of*
+        :meth:`on_arrival` for every arrival, passing the arena
         and the request's row ``index`` so the hook can amortize
         per-event Python overhead against cached column tables (one
         ``.tolist()`` per arena instead of per-request float boxing).
         Implementations must decide — and side-effect — exactly as
-        their :meth:`on_arrival` would, bit-for-bit; list streams
-        (tenancy's merged home+spill views) keep dispatching the
-        scalar hook.  The base implementation just delegates.
+        their :meth:`on_arrival` would, bit-for-bit.  The base
+        implementation just delegates.
         """
         return self.on_arrival(request, instance, now, engine)
 
@@ -395,7 +392,7 @@ class Engine:
         self._fast_reason = ""
         self.state: EngineState | None = None
         self.last_run: EngineRun | None = None
-        self._requests: Sequence[Request] | None = None
+        self._requests: RequestArena | None = None
 
     # ------------------------------------------------------------------
     # Fast-path dispatch
@@ -1019,14 +1016,19 @@ class Engine:
                 (deadline, state.seq, _WAKE, instance.index),
             )
 
-    def begin(self, requests: Sequence[Request]) -> EngineState:
+    def begin(self, requests: RequestArena) -> EngineState:
         """Arm the general loop over ``requests`` without running it.
 
         Seeds a fresh :class:`EngineState` (tick scheduled, sequence
         counter past the arrivals' implicit numbers, cursor at zero)
         and remembers the request stream so repeated
         :meth:`run_until` calls can step the run in bounded slices.
+
+        Raises:
+            TypeError: If ``requests`` is not a
+                :class:`~repro.serve.arena.RequestArena`.
         """
+        _require_arena(requests)
         n = len(requests)
         heap: list = []
         # Arrivals implicitly own sequence numbers 1..n, so at equal
@@ -1097,13 +1099,12 @@ class Engine:
         """
         state = self.state
         requests = self._requests
-        is_arena = isinstance(requests, RequestArena)
         pristine = (
             state.cursor == 0
             and state.events == 0
             and state.clock == 0.0
         )
-        if pristine and t == _INF and is_arena and len(requests):
+        if pristine and t == _INF and len(requests):
             mode = self._fast_mode(requests)
             if mode == "rr-ctl":
                 self.last_run = self._run_round_robin_controlled(
@@ -1125,9 +1126,7 @@ class Engine:
             # checks precede fleet-state checks — so checkpointed
             # reruns report byte-identical telemetry.  Run mechanics
             # are the reason only when the config itself qualifies.
-            if not is_arena:
-                self._fast_reason = "request stream is not an arena"
-            elif len(requests) and self._fast_mode(requests) is not None:
+            if len(requests) and self._fast_mode(requests) is not None:
                 self._fast_reason = (
                     "bounded run_until horizon"
                     if t != _INF
@@ -1139,13 +1138,7 @@ class Engine:
         # Batched hook dispatch: hooks that opted in (overrode
         # on_arrival_batch) get the arena + row index instead of the
         # scalar on_arrival, amortizing per-event view overhead.
-        # Only arena streams qualify — list streams keep the scalar
-        # hook, whose semantics the batch hook must match.
-        admit_batch = (
-            self._admit_batch
-            if isinstance(requests, RequestArena)
-            else None
-        )
+        admit_batch = self._admit_batch
         on_complete = self._on_complete
         hooks = self.hooks
         tick_s = self.tick_s
@@ -1253,17 +1246,22 @@ class Engine:
         self.last_run = run
         return run
 
-    def run(self, requests: Sequence[Request]) -> EngineRun:
+    def run(self, requests: RequestArena) -> EngineRun:
         """Play ``requests`` (non-decreasing arrival order) to drain.
 
-        ``requests`` is a :class:`~repro.serve.arena.RequestArena` or
-        any sequence of request views; arenas additionally unlock the
-        columnar fast paths when the configuration allows (see
-        :meth:`_fast_mode`).  Either way the loop mutates the request
-        state in place — list callers (tenancy's merged home+spill
-        streams) observe writes through their views.
+        ``requests`` is the run's
+        :class:`~repro.serve.arena.RequestArena`, the only request
+        stream the engine accepts; the columnar fast paths serve it
+        when the configuration allows (see :meth:`_fast_mode`), the
+        general loop otherwise.  Either way the run writes outcomes
+        (``start``/``finish``/``shed``) into the arena's columns in
+        place.
+
+        Raises:
+            TypeError: If ``requests`` is some other stream type.
         """
-        if isinstance(requests, RequestArena) and len(requests):
+        _require_arena(requests)
+        if len(requests):
             mode = self._fast_mode(requests)
             if mode == "rr":
                 self.last_run = self._run_round_robin(requests)
@@ -1284,11 +1282,10 @@ class Engine:
         Returns a plain picklable dict: the :class:`EngineState`
         fields, every instance's ``state_dict`` plus its queue as
         request stream positions, the policy state, and the hook
-        state.  Queues serialize as indices because the invariant
-        ``request.index == position in the stream`` holds for every
-        engine caller (arena builds index with ``arange``; tenancy
-        reindexes merged streams), so :meth:`restore` can rebind the
-        views against the caller-provided stream.
+        state.  Queues serialize as indices because every arena indexes
+        its rows with ``arange`` (``request.index`` is the row — also
+        for tenancy's merged receiver arenas), so :meth:`restore` can
+        rebind the views against the caller-provided arena.
         """
         state = self.state
         instances = []
@@ -1314,7 +1311,7 @@ class Engine:
         }
 
     def restore(
-        self, snapshot: dict, requests: Sequence[Request]
+        self, snapshot: dict, requests: RequestArena
     ) -> EngineState:
         """Rebind a :meth:`snapshot` onto this engine and ``requests``.
 
@@ -1325,6 +1322,7 @@ class Engine:
         rebinds queue views by stream position but never rewrites
         request columns.
         """
+        _require_arena(requests)
         fields = snapshot["state"]
         self._requests = requests
         self.state = EngineState(
@@ -1347,6 +1345,15 @@ class Engine:
         self.policy.load_state_dict(snapshot["policy"])
         self.hooks.load_state_dict(snapshot["hooks"])
         return self.state
+
+
+def _require_arena(requests) -> None:
+    """The engine's one entry check: every request stream is an arena."""
+    if not isinstance(requests, RequestArena):
+        raise TypeError(
+            "the engine runs a RequestArena request stream, not "
+            f"{type(requests).__name__} (build one with build_requests)"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -1753,59 +1760,27 @@ def _sketch_of(values) -> StreamingLatencyStats:
     return stats
 
 
-def _finish_summary(
-    completed: int,
-    latencies: np.ndarray,
-    waits: np.ndarray,
-    model_counts: tuple,
-    max_finish: float,
-    buckets: dict | None,
-    model_buckets: dict | None,
-    stats: str,
-) -> RequestSummary:
-    if stats == "exact":
-        return RequestSummary(
-            completed=completed,
-            latencies=latencies,
-            waits=waits,
-            model_counts=model_counts,
-            max_finish=max_finish,
-            class_buckets=buckets,
-            model_buckets=model_buckets,
-        )
-    for bucket_map in (buckets, model_buckets):
-        if bucket_map is not None:
-            for bucket in bucket_map.values():
-                bucket[2] = _sketch_of(bucket[2])
-    return RequestSummary(
-        completed=completed,
-        latencies=None,
-        waits=None,
-        model_counts=model_counts,
-        max_finish=max_finish,
-        class_buckets=buckets,
-        model_buckets=model_buckets,
-        stats="sketch",
-        latency_sketch=_sketch_of(latencies),
-        wait_mean_value=(
-            float(np.asarray(waits).mean()) if completed else 0.0
-        ),
-    )
-
-
-def _summarize_arena(
+def summarize_requests(
     arena: RequestArena,
-    track_classes: bool,
-    track_models: bool,
-    stats: str,
+    track_classes: bool = False,
+    track_models: bool = False,
+    stats: str = "exact",
 ) -> RequestSummary:
-    """Vectorized summarizer over arena columns (exact floats: the
-    same subtractions/comparisons the object loop performed).
+    """Aggregate a drained arena in one vectorized pass over its columns.
+
+    Exact statistics are the same floats the object-era loop produced
+    (the same subtractions and comparisons); ``stats="sketch"`` swaps
+    latency retention for t-digest sketches (see
+    :class:`RequestSummary`).
 
     Completed rows are gathered once by integer index (a boolean mask
     index costs ~10x more at half density) and class/model ids are
     small non-negative after the ``+ 1`` shift, so ``bincount`` stands
     in for ``np.unique`` plus per-id mask counts.
+
+    Raises:
+        ConfigError: If any admitted request never completed — the
+            event loop's drain invariant was violated.
     """
     shed = arena.shed
     finish = arena.finish
@@ -1872,94 +1847,31 @@ def _summarize_arena(
                     int(met[mid]),
                     latencies[mi_d == mid],
                 ]
-    return _finish_summary(
-        completed,
-        latencies,
-        waits,
-        model_counts,
-        max_finish,
-        buckets,
-        model_buckets,
-        stats,
-    )
-
-
-def summarize_requests(
-    requests: Sequence[Request] | RequestArena,
-    track_classes: bool = False,
-    track_models: bool = False,
-    stats: str = "exact",
-) -> RequestSummary:
-    """Aggregate a drained run.
-
-    Arenas take a vectorized columnar pass; plain sequences of views
-    (tenancy's merged home+spill streams, tests) take the legacy
-    single O(n) object walk.  Both produce identical exact statistics;
-    ``stats="sketch"`` swaps latency retention for t-digest sketches
-    (see :class:`RequestSummary`).
-
-    Raises:
-        ConfigError: If any admitted request never completed — the
-            event loop's drain invariant was violated.
-    """
-    if isinstance(requests, RequestArena):
-        return _summarize_arena(
-            requests, track_classes, track_models, stats
+    if stats == "exact":
+        return RequestSummary(
+            completed=completed,
+            latencies=latencies,
+            waits=waits,
+            model_counts=model_counts,
+            max_finish=max_finish,
+            class_buckets=buckets,
+            model_buckets=model_buckets,
         )
-    latencies: list[float] = []
-    waits: list[float] = []
-    counts: dict[str, int] = {}
-    buckets: dict[str, list] | None = {} if track_classes else None
-    model_buckets: dict[str, list] | None = (
-        {} if track_models else None
-    )
-    unserved = 0
-    max_finish = float("-inf")
-    for request in requests:
-        if track_classes:
-            bucket = buckets.get(request.slo)
-            if bucket is None:
-                bucket = buckets[request.slo] = [0, 0, []]
-            bucket[0] += 1
-        if track_models:
-            mbucket = model_buckets.get(request.model)
-            if mbucket is None:
-                mbucket = model_buckets[request.model] = [0, 0, []]
-            mbucket[0] += 1
-        if request.shed:
-            continue
-        finish = request.finish
-        if finish < 0:
-            unserved += 1
-            continue
-        arrival = request.arrival
-        latency = finish - arrival
-        latencies.append(latency)
-        waits.append(request.start - arrival)
-        model = request.model
-        counts[model] = counts.get(model, 0) + 1
-        if finish > max_finish:
-            max_finish = finish
-        met = finish <= request.deadline
-        if track_classes:
-            bucket[1] += met
-            bucket[2].append(latency)
-        if track_models:
-            mbucket[1] += met
-            mbucket[2].append(latency)
-    if unserved:
-        raise ConfigError(
-            f"simulation ended with {unserved} unserved requests"
-        )
-    return _finish_summary(
-        len(latencies),
-        np.array(latencies),
-        np.array(waits),
-        tuple(sorted(counts.items())),
-        max_finish,
-        buckets,
-        model_buckets,
-        stats,
+    for bucket_map in (buckets, model_buckets):
+        if bucket_map is not None:
+            for bucket in bucket_map.values():
+                bucket[2] = _sketch_of(bucket[2])
+    return RequestSummary(
+        completed=completed,
+        latencies=None,
+        waits=None,
+        model_counts=model_counts,
+        max_finish=max_finish,
+        class_buckets=buckets,
+        model_buckets=model_buckets,
+        stats="sketch",
+        latency_sketch=_sketch_of(latencies),
+        wait_mean_value=float(waits.mean()) if completed else 0.0,
     )
 
 

@@ -7,7 +7,7 @@ from repro.serve import (
     Engine,
     EngineHooks,
     Fleet,
-    Request,
+    RequestArena,
     make_policy,
     service_profile,
 )
@@ -17,13 +17,11 @@ V1 = service_profile("mobilenet-v1-224")
 
 
 def _requests(count, gap=0.01, model="edge-tiny", profile=None):
+    """A one-model arena with evenly spaced arrivals."""
     profile = profile if profile is not None else EDGE
-    return [
-        Request(
-            index=i, model=model, profile=profile, arrival=gap * (i + 1)
-        )
-        for i in range(count)
-    ]
+    arena = RequestArena(count, (model,), (profile,))
+    arena.arrival[:] = [gap * (i + 1) for i in range(count)]
+    return arena
 
 
 def _engine(fleet, hooks=None, tick_s=None, **kwargs):
@@ -37,7 +35,9 @@ def _engine(fleet, hooks=None, tick_s=None, **kwargs):
 class TestKernel:
     def test_drains_every_request(self):
         requests = _requests(64)
-        run = _engine(Fleet(2)).run(requests)
+        # Priority queues over one priority level are a FIFO no-op that
+        # keeps the run on the general loop (see TestFastPathParity).
+        run = _engine(Fleet(2), priority_queues=True).run(requests)
         assert all(r.finish >= 0 for r in requests)
         # One arrival event per request plus >= 1 completion per batch.
         assert run.events > len(requests)
@@ -47,9 +47,12 @@ class TestKernel:
         """The engine's batch fast path is the public two-step API."""
         fast, slow = Fleet(1)[0], Fleet(1)[0]
         for instance in (fast, slow):
-            for request in _requests(5, gap=0.0) + _requests(
-                3, gap=0.0, model="mobilenet-v1-224", profile=V1
-            ):
+            for request in [
+                *_requests(5, gap=0.0),
+                *_requests(
+                    3, gap=0.0, model="mobilenet-v1-224", profile=V1
+                ),
+            ]:
                 instance.enqueue(request)
         assert fast.launch_head(4, now=0.0) == slow.launch(
             slow.next_batch(4), now=0.0
@@ -68,6 +71,15 @@ class TestKernel:
             Engine(fleet, policy, max_batch=1, max_wait_s=-1.0)
         with pytest.raises(ConfigError):
             Engine(fleet, policy, max_batch=1, max_wait_s=0.0, tick_s=0.0)
+
+    @pytest.mark.parametrize("entry", ["run", "begin"])
+    def test_rejects_a_plain_list(self, entry):
+        """The arena is the engine's only request stream: a list of
+        views is refused at the entry instead of taking a slower
+        compatibility path."""
+        requests = list(_requests(4))
+        with pytest.raises(TypeError, match="RequestArena"):
+            getattr(_engine(Fleet(1)), entry)(requests)
 
 
 class TestBuildRequests:

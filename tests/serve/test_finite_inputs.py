@@ -6,6 +6,9 @@ used to hang with no output, ``ServingScenario(qps=inf)`` and
 ``ServingScenario(max_wait_ms=nan)`` were accepted silently.  Each hole
 now raises :class:`~repro.errors.ConfigError` in the scenario's
 ``__post_init__`` and exits 2 with a flag-named error at the CLI.
+``MultiFleetScenario`` had the same holes in its modulator and hop
+knobs (``period_s=nan`` hung, a NaN hop forwarded nothing, NaN/inf
+burst knobs crashed with ``IndexError``), as did ``epoch_s``.
 """
 
 from __future__ import annotations
@@ -116,3 +119,101 @@ def test_cli_grid_value_rejected_by_scenario():
     proc = _cli("serve", "--curve-qps", "100,nan", "--requests", "100")
     assert proc.returncode == 1, proc.stderr
     assert "qps must be finite" in proc.stderr
+
+
+def _multi_fleet(**kwargs):
+    """A small overloaded pair: fleet 0 at rho >> 1 spills into fleet 1."""
+    from repro.control import MultiFleetScenario, SLOClass
+
+    defaults = dict(
+        fleets=(
+            ControlScenario(
+                mix="v1-224",
+                qps=2_500.0,
+                requests=300,
+                instances=1,
+                max_batch=1,
+                max_wait_ms=0.0,
+                shedding="deadline",
+                slo_classes=(
+                    SLOClass("only", deadline_ms=40.0, target=0.9),
+                ),
+            ),
+            ControlScenario(
+                mix="mixed", qps=800.0, requests=300, instances=4,
+                shedding="deadline",
+            ),
+        ),
+        period_s=5.0,
+        amplitude=0.6,
+        spillover="deadline",
+        seed=11,
+    )
+    defaults.update(kwargs)
+    return MultiFleetScenario(**defaults)
+
+
+@pytest.mark.parametrize(
+    "field, value, extra",
+    [
+        ("period_s", _INF, {}),
+        ("amplitude", _NAN, {}),
+        # NaN hop compared false against every deadline: the
+        # scenario was accepted and silently forwarded nothing.
+        ("spillover_hop_ms", _NAN, {}),
+        ("spillover_hop_ms", _INF, {}),
+        # Both used to crash the burst path build with IndexError.
+        ("mean_dwell_s", _NAN, {"modulator": "burst"}),
+        ("burst_factor", _INF, {"modulator": "burst"}),
+        ("burst_share", _NAN, {"modulator": "burst"}),
+    ],
+)
+def test_multi_fleet_scenario_rejects_non_finite(field, value, extra):
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        _multi_fleet(**{field: value, **extra})
+
+
+def test_multi_fleet_nan_period_rejected_not_hung():
+    """``period_s=nan`` used to hang the run (a NaN epoch never
+    advances); a fresh interpreter under a timeout turns a regression
+    into a failure instead of a stalled suite."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
+    script = (
+        "import sys\n"
+        "from repro.control import (\n"
+        "    ControlScenario, MultiFleetScenario, simulate_multi_fleet,\n"
+        ")\n"
+        "from repro.errors import ConfigError\n"
+        "try:\n"
+        "    simulate_multi_fleet(MultiFleetScenario(\n"
+        "        fleets=(ControlScenario(requests=50, qps=100.0),),\n"
+        "        period_s=float('nan'),\n"
+        "    ))\n"
+        "except ConfigError as exc:\n"
+        "    sys.exit(f'rejected: {exc}')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+    )
+    assert "rejected: period_s must be finite" in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("epoch_s", [_NAN, _INF])
+def test_multi_fleet_epoch_must_be_finite(epoch_s):
+    from repro.control import simulate_multi_fleet
+
+    with pytest.raises(ConfigError, match="epoch_s must be positive"):
+        simulate_multi_fleet(_multi_fleet(), epoch_s=epoch_s)
+
+
+def test_multi_fleet_cache_key_unchanged_by_check():
+    """The check adds no scenario field, so content keys stay put."""
+    scenario = _multi_fleet()
+    assert make_key("multi_fleet_point", args=(scenario,)) == make_key(
+        "multi_fleet_point", args=(_multi_fleet(),)
+    )

@@ -23,20 +23,16 @@ from repro.control import ControlScenario, SLOClass, simulate_controlled
 from repro.eval.control import report_to_dict
 from repro.serve import ServingScenario, simulate
 from repro.serve.engine import EngineHooks, summarize_requests
-from repro.serve.fleet import Request
+from repro.serve.arena import RequestArena
 
 
 def _drained(n=4, shed_all=True):
     """A hand-built request stream: every request offered, all shed."""
-    requests = []
-    for i in range(n):
-        request = Request(
-            index=i, model="m", profile=None, arrival=0.1 * i,
-            slo="only",
-        )
-        request.shed = shed_all
-        requests.append(request)
-    return requests
+    arena = RequestArena(n, ("m",), (None,), slo_names=("only",))
+    arena.arrival[:] = [0.1 * i for i in range(n)]
+    arena.class_idx[:] = 0
+    arena.shed[:] = shed_all
+    return arena
 
 
 class TestAllShedSummary:
