@@ -11,7 +11,8 @@ sorted merge of receiver streams is an independent oracle of the
 production receiver-arena merge; the one adaptation is that the
 engine only runs arenas, so a merged view list is packed into one
 before ``execute_controlled`` and its outcomes copied back to the
-views afterwards.
+views afterwards, and ``execute_controlled`` takes its arena and
+offered rate as one ``RequestStream``.
 
 Not part of the package: benchmark support only.
 """
@@ -22,18 +23,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.control.simulator import (
-    _DEFAULT_LOAD,
-    build_control_fleet,
-    execute_controlled,
-)
+from repro.control.simulator import build_control_fleet, execute_controlled
 from repro.control.slo import SLOClass
 from repro.control.tenancy import MultiFleetReport, MultiFleetScenario
 from repro.power.dvfs import DVFSModel
 from repro.serve.arena import RequestArena
 from repro.serve.engine import build_requests
 from repro.serve.fleet import Request
-from repro.serve.simulator import ServingReport
+from repro.serve.simulator import RequestStream, ServingReport, offered_qps
 
 __all__ = ["simulate_multi_fleet_monolithic"]
 
@@ -104,11 +101,7 @@ def simulate_multi_fleet_monolithic(
     for member in scenario.fleets:
         fleet, mix, capacity = build_control_fleet(member, dvfs_model)
         setups.append((fleet, mix, capacity))
-        rates.append(
-            member.qps
-            if member.qps is not None
-            else _DEFAULT_LOAD * capacity
-        )
+        rates.append(offered_qps(member, capacity))
 
     rhos = [
         rates[k] / setups[k][2] if setups[k][2] > 0 else 0.0
@@ -174,8 +167,9 @@ def simulate_multi_fleet_monolithic(
             else _pack(requests)
         )
         reports[k] = execute_controlled(
-            member, fleet, mix, capacity, rates[k],
-            stream_times, arena, dvfs_model=dvfs_model,
+            member, fleet, mix, capacity,
+            RequestStream(rates[k], stream_times, arena, None),
+            dvfs_model=dvfs_model,
         )
         if arena is not requests:
             for i, request in enumerate(requests):

@@ -314,10 +314,9 @@ def test_bench_snapshot_restore_cost(benchmark):
 
     def deserialize():
         loaded = pickle.loads(blob)
-        rebuilt = cp._rebuild_serve(
-            loaded["scenario"], loaded["times"], loaded["requests"]
+        rebuilt, _, _ = cp._begin(
+            "serve", loaded["scenario"], loaded, None
         )
-        rebuilt.engine.begin(rebuilt.requests)
         rebuilt.engine.restore(loaded["snapshot"], rebuilt.requests)
         return rebuilt
 

@@ -15,10 +15,16 @@ uninterrupted one:
   bit-generator states captured after stream construction;
 * the checkpoint cadence, so a resumed run keeps saving on schedule.
 
-Checkpointed execution always steps the engine's general loop in
-bounded :meth:`~repro.serve.engine.Engine.run_until` slices — which is
-bit-for-bit the one-shot run — and both the uninterrupted and the
-resumed path converge on the same ``finalize_*`` report builders.
+Checkpointed runs share the simulators' one lifecycle — build the
+stream, build the execution (which calls ``engine.begin``), advance it
+with :meth:`~repro.serve.engine.Engine.run_until`, finalize — and
+differ only in the stream (a resume wraps the checkpointed arena
+instead of generating one) and in the slicing: a checkpoint cadence
+steps the general loop in bounded slices, which is bit-for-bit the
+one-shot run, while a run without one drains in a single
+``run_until(inf)`` that may dispatch a columnar fast path.  Both the
+uninterrupted and the resumed path converge on the same ``finalize_*``
+report builders.
 Serve scenarios with ``stats="sketch"`` are the one caveat: plain
 :func:`repro.serve.simulate` may take the chunk-interleaved streaming
 mode whose RNG consumption differs by design, so the equality
@@ -38,23 +44,21 @@ import pickle
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .control.simulator import (
     ControlScenario,
-    _DEFAULT_LOAD as _CONTROL_DEFAULT_LOAD,
     build_control_fleet,
     finalize_controlled,
     prepare_controlled,
 )
 from .errors import ConfigError, ReproError
-from .power.dvfs import DVFSModel
-from .serve.arrival import capture_rng_state, make_arrivals
-from .serve.engine import build_requests
 from .serve.simulator import (
+    RequestStream,
     ServingScenario,
+    build_serving_fleet,
+    build_stream,
     finalize_serving,
+    offered_qps,
     prepare_serving,
 )
 
@@ -150,123 +154,49 @@ def load_checkpoint(path) -> dict:
 # Execution builders (fresh and resumed)
 # ----------------------------------------------------------------------
 
+#: Per plane: ``(build fleet, build execution, finalize)``.
+_PLANES = {
+    "serve": (build_serving_fleet, prepare_serving, finalize_serving),
+    "control": (
+        build_control_fleet, prepare_controlled, finalize_controlled,
+    ),
+}
+
+
+def _begin(kind, scenario, loaded, obs):
+    """Build and arm one checkpointable execution.
+
+    The same lifecycle as the one-shot simulators: fleet, stream,
+    execution (which calls ``engine.begin``).  ``loaded`` is ``None``
+    for a fresh run, whose stream is generated; on resume it is the
+    checkpoint payload, whose materialized (and possibly mid-run
+    mutated) stream must never be regenerated.
+
+    Returns ``(execution, engine, finalize)``.
+    """
+    build_fleet, prepare, finalize = _PLANES[kind]
+    fleet, mix, capacity = build_fleet(scenario)
+    if loaded is None:
+        stream = build_stream(scenario, mix, capacity)
+    else:
+        stream = RequestStream(
+            offered_qps(scenario, capacity),
+            loaded["times"],
+            loaded["requests"],
+            None,
+        )
+    execution = prepare(scenario, fleet, mix, capacity, stream, obs=obs)
+    return execution, execution.engine, finalize
+
 
 def _begin_serve(scenario: ServingScenario, obs=None):
     """Build and arm a fresh checkpointable serve execution."""
-    execution = prepare_serving(scenario, obs=obs)
-    engine = execution.engine
-    engine.begin(execution.requests)
-    engine.state.rng_states = {"main": execution.rng_state}
-    return execution, engine, finalize_serving
-
-
-def _rebuild_serve(scenario: ServingScenario, times, requests, obs=None):
-    """The serve execution around an already-materialized (and
-    possibly mid-run-mutated) stream: everything
-    :func:`~repro.serve.simulator.prepare_serving` builds except the
-    stream itself, which must never be regenerated on resume."""
-    from .serve.engine import Engine
-    from .serve.fleet import Fleet
-    from .serve.policies import make_policy
-    from .serve.profile import build_mix
-    from .serve.simulator import _DEFAULT_LOAD, ServingExecution
-
-    mix = build_mix(
-        scenario.mix, scenario.config, scenario.weight_bandwidth
-    )
-    capacity = scenario.instances / mix.mean_service_seconds()
-    qps = scenario.qps if scenario.qps is not None else (
-        _DEFAULT_LOAD * capacity
-    )
-    fleet = Fleet(scenario.instances)
-    window_end = float(times[-1])
-    for instance in fleet:
-        instance.window_end = window_end
-    policy = make_policy(scenario.policy)
-    policy.reset()
-    hooks = None
-    tick_s = None
-    if obs is not None and obs.active:
-        # Mirror prepare_serving's wiring so the restored snapshot's
-        # hook state lands on an identically shaped observer.
-        hooks = obs.wrap(None, pid=0)
-        obs.register_fleet(0, f"fleet ({scenario.mix})", fleet)
-        tick_s = obs.engine_tick_s(None)
-    engine = Engine(
-        fleet,
-        policy,
-        max_batch=scenario.max_batch,
-        max_wait_s=scenario.max_wait_ms * 1e-3,
-        hooks=hooks,
-        tick_s=tick_s,
-    )
-    return ServingExecution(
-        scenario=scenario,
-        mix=mix,
-        capacity=capacity,
-        qps=qps,
-        times=times,
-        requests=requests,
-        fleet=fleet,
-        engine=engine,
-    )
-
-
-def _control_inputs(scenario: ControlScenario):
-    """The control plane's stream construction, mirroring
-    ``simulate_controlled_detailed`` exactly (same RNG consumption)."""
-    dvfs_model = DVFSModel()
-    fleet, mix, capacity = build_control_fleet(scenario, dvfs_model)
-    qps = scenario.qps if scenario.qps is not None else (
-        _CONTROL_DEFAULT_LOAD * capacity
-    )
-    arrivals = make_arrivals(
-        scenario.arrival,
-        qps,
-        burst_factor=scenario.burst_factor,
-        trace=scenario.trace,
-        diurnal_period_s=scenario.diurnal_period_s,
-        diurnal_amplitude=scenario.diurnal_amplitude,
-    )
-    n = scenario.requests
-    if scenario.arrival == "trace":
-        n = min(n, len(scenario.trace))
-    rng = np.random.default_rng(scenario.seed)
-    times = arrivals.times(n, rng)
-    requests = build_requests(
-        mix, times, rng, slo_classes=scenario.slo_classes
-    )
-    return dvfs_model, fleet, mix, capacity, qps, times, requests, rng
+    return _begin("serve", scenario, None, obs)
 
 
 def _begin_control(scenario: ControlScenario, obs=None):
     """Build and arm a fresh checkpointable control execution."""
-    (
-        dvfs_model, fleet, mix, capacity, qps, times, requests, rng,
-    ) = _control_inputs(scenario)
-    execution = prepare_controlled(
-        scenario, fleet, mix, capacity, qps, times, requests,
-        dvfs_model=dvfs_model, obs=obs,
-    )
-    execution.engine.state.rng_states = {
-        "main": capture_rng_state(rng)
-    }
-    return execution, execution.engine, finalize_controlled
-
-
-def _rebuild_control(scenario: ControlScenario, times, requests, obs=None):
-    """The control execution around an already-materialized stream
-    (fleet/governor/policy/shedder rebuilt deterministically; the
-    engine snapshot overlays their mid-run state afterwards)."""
-    dvfs_model = DVFSModel()
-    fleet, mix, capacity = build_control_fleet(scenario, dvfs_model)
-    qps = scenario.qps if scenario.qps is not None else (
-        _CONTROL_DEFAULT_LOAD * capacity
-    )
-    return prepare_controlled(
-        scenario, fleet, mix, capacity, qps, times, requests,
-        dvfs_model=dvfs_model, obs=obs,
-    )
+    return _begin("control", scenario, None, obs)
 
 
 # ----------------------------------------------------------------------
@@ -325,6 +255,17 @@ def _validate_cadence(every_s) -> None:
         )
 
 
+def _run_checkpointed(kind, scenario, checkpoint_path, every_s, obs):
+    _validate_cadence(every_s)
+    execution, engine, finalize = _begin(kind, scenario, None, obs)
+    _drive(
+        kind, scenario, execution, engine, every_s,
+        checkpoint_path, every_s if every_s is not None else _INF,
+        obs,
+    )
+    return finalize(execution)
+
+
 def run_serve_checkpointed(
     scenario: ServingScenario,
     checkpoint_path=None,
@@ -335,18 +276,15 @@ def run_serve_checkpointed(
     """One serve-plane run with periodic checkpoints.
 
     Steps the general loop in ``every_s``-simulated-second slices,
-    saving an atomic checkpoint after each; the report is identical to
-    :func:`repro.serve.simulate` for ``stats="exact"`` scenarios (the
-    general loop and the columnar fast paths agree bit-for-bit).
+    saving an atomic checkpoint after each; without a cadence it is
+    one ``run_until(inf)``, which may dispatch a columnar fast path.
+    The report is identical to :func:`repro.serve.simulate` for
+    ``stats="exact"`` scenarios (the general loop and the columnar
+    fast paths agree bit-for-bit).
     """
-    _validate_cadence(every_s)
-    execution, engine, finalize = _begin_serve(scenario, obs)
-    _drive(
-        "serve", scenario, execution, engine, every_s,
-        checkpoint_path, every_s if every_s is not None else _INF,
-        obs,
+    return _run_checkpointed(
+        "serve", scenario, checkpoint_path, every_s, obs
     )
-    return finalize(execution)
 
 
 def run_control_checkpointed(
@@ -358,14 +296,9 @@ def run_control_checkpointed(
 ):
     """One control-plane run with periodic checkpoints (identical
     report to :func:`repro.control.simulate_controlled`)."""
-    _validate_cadence(every_s)
-    execution, engine, finalize = _begin_control(scenario, obs)
-    _drive(
-        "control", scenario, execution, engine, every_s,
-        checkpoint_path, every_s if every_s is not None else _INF,
-        obs,
+    return _run_checkpointed(
+        "control", scenario, checkpoint_path, every_s, obs
     )
-    return finalize(execution)
 
 
 def resume_checkpointed(path, checkpoint_path=None, *, obs=None):
@@ -398,28 +331,20 @@ def resume_checkpointed(path, checkpoint_path=None, *, obs=None):
     )
     kind = payload["kind"]
     scenario = payload["scenario"]
-    times = payload["times"]
-    requests = payload["requests"]
-    if kind == "serve":
-        execution = _rebuild_serve(scenario, times, requests, obs)
-        execution.engine.begin(requests)
-        finalize = finalize_serving
-    elif kind == "control":
-        execution = _rebuild_control(scenario, times, requests, obs)
-        finalize = finalize_controlled
-    else:
+    if kind not in _PLANES:
         raise ReproError(
             f"checkpoint {path} has unknown kind {kind!r}"
         )
+    execution, engine, finalize = _begin(kind, scenario, payload, obs)
     try:
-        execution.engine.restore(payload["snapshot"], requests)
+        engine.restore(payload["snapshot"], execution.requests)
     except (KeyError, TypeError, ConfigError) as exc:
         raise ReproError(
             f"checkpoint {path} does not match this build's state "
             f"layout: {exc}"
         ) from exc
     _drive(
-        kind, scenario, execution, execution.engine,
+        kind, scenario, execution, engine,
         payload["every_s"],
         checkpoint_path if checkpoint_path is not None else path,
         payload["next_checkpoint_s"],

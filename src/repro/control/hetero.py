@@ -30,6 +30,7 @@ from ..power.dvfs import (
 )
 from ..serve.fleet import Instance
 from ..serve.profile import ScenarioMix
+from ..serve.simulator import check_finite
 
 __all__ = [
     "NOMINAL_BUSY_POWER_W",
@@ -63,6 +64,10 @@ class InstanceSpec:
     voltage_v: float = NOMINAL_VOLTAGE_V
     frequency_hz: float | None = None
     config: ArchConfig | None = None
+
+    def __post_init__(self) -> None:
+        # A NaN operating point never advances the event clock.
+        check_finite(self, ("voltage_v", "frequency_hz"))
 
     def operating_point(self, model: DVFSModel) -> OperatingPoint:
         return model.operating_point(self.voltage_v, self.frequency_hz)

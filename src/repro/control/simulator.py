@@ -29,6 +29,7 @@ approximation only matters for the tick in which a transition lands.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,20 +39,22 @@ from ..errors import ConfigError
 from ..parallel.cache import extension_field
 from ..power.dvfs import DVFSModel
 from ..serve.arena import RequestArena
-from ..serve.arrival import make_arrivals
-from ..serve.engine import (
-    Engine,
-    EngineHooks,
-    EngineRun,
-    build_requests,
-    realized_offered_qps,
-    summarize_requests,
-)
+from ..serve.engine import Engine, EngineHooks, summarize_requests
+from ..serve.engine import build_requests  # noqa: F401  (re-export for clients)
 from ..serve.fleet import Fleet
 from ..serve.policies import make_policy
 from ..serve.profile import DEFAULT_WEIGHT_BANDWIDTH, build_mix
 from ..serve.sketch import StreamingLatencyStats
-from ..serve.simulator import FINITE_FIELDS, ServingReport, check_finite
+from ..serve.simulator import (
+    FINITE_FIELDS,
+    RequestStream,
+    ServingExecution,
+    ServingReport,
+    arm_execution,
+    assemble_report,
+    build_stream,
+    check_finite,
+)
 from .autoscale import GOVERNORS, make_governor
 from .hetero import InstanceSpec, configure_instance
 from .slo import (
@@ -81,9 +84,6 @@ _INF = float("inf")
 #: Same feasibility epsilon as the shedders in :mod:`repro.control.slo`
 #: — the batched admission hook must reproduce their floats bit-for-bit.
 _EPS = 1e-12
-
-#: Default offered load (fraction of full-fleet capacity), as in serve.
-_DEFAULT_LOAD = 0.7
 
 #: The data-plane float fields plus the control knobs that must be
 #: finite (see :func:`repro.serve.simulator.check_finite`).
@@ -196,6 +196,12 @@ class ControlScenario:
             raise ConfigError(
                 f"unknown autoscale governor {self.autoscale!r} "
                 f"(known: {known})"
+            )
+        if not all(math.isfinite(v) for v in self.dvfs_ladder):
+            # A NaN rung compares false against every utilization
+            # band: the governor would park on it and serve nothing.
+            raise ConfigError(
+                f"dvfs_ladder voltages must be finite ({self.dvfs_ladder})"
             )
         if self.autoscale == "dvfs" and self.fleet is not None:
             # The governor drives one shared voltage ladder; silently
@@ -509,26 +515,14 @@ def _build_governor(scenario, fleet, mix, dvfs_model, tick_s):
     return governor
 
 
-@dataclass
-class ControlExecution:
-    """One armed controlled run, mid-flight.
-
-    :func:`prepare_controlled` builds everything up to (and including)
-    ``engine.begin``; the caller advances ``engine`` with
-    :meth:`~repro.serve.engine.Engine.run_until` — to drain for the
-    classic one-shot run, or in bounded slices for checkpointed and
-    epoch-stepped execution — and :func:`finalize_controlled` turns
-    the drained execution into the :class:`ServingReport`.
+class ControlExecution(ServingExecution):
+    """One armed controlled run: the serve lifecycle's
+    :class:`~repro.serve.simulator.ServingExecution` built by
+    :func:`prepare_controlled` and turned into its report by
+    :func:`finalize_controlled`, whether the engine drained in one
+    ``run_until(inf)`` (which may dispatch the ``"rr-ctl"`` kernel) or
+    in bounded checkpoint or epoch slices.
     """
-
-    scenario: ControlScenario
-    fleet: Fleet
-    mix: object
-    capacity: float
-    qps: float
-    times: np.ndarray
-    requests: RequestArena
-    engine: Engine
 
 
 def prepare_controlled(
@@ -536,9 +530,7 @@ def prepare_controlled(
     fleet: Fleet,
     mix,
     capacity: float,
-    qps: float,
-    times: np.ndarray,
-    requests: RequestArena,
+    stream: RequestStream,
     dvfs_model: DVFSModel | None = None,
     *,
     obs=None,
@@ -546,19 +538,17 @@ def prepare_controlled(
 ) -> ControlExecution:
     """Wire the control plane over a prepared fleet and arm the engine.
 
-    The head half of :func:`execute_controlled`: sets the busy window,
-    builds the governor/policy/shedder from the scenario (all
+    Builds the governor/policy/shedder from the scenario (all
     deterministic, RNG-free), constructs the engine with the control
-    hooks, and calls ``engine.begin(requests)`` so the caller can step
-    it with ``run_until``.  An active ``obs`` session wraps the control
-    hooks in telemetry observers (``obs_pid`` names the trace process,
-    the fleet index on multi-fleet runs).
+    hooks, and calls ``engine.begin`` over ``stream`` so the caller can
+    step it with ``run_until``.  ``stream`` is :func:`build_stream`'s
+    output for a fresh run, or a wrapped existing arena for a
+    checkpoint resume or a multi-fleet member.  An active ``obs``
+    session wraps the control hooks in telemetry observers
+    (``obs_pid`` names the trace process, the fleet index on
+    multi-fleet runs).
     """
     dvfs_model = dvfs_model if dvfs_model is not None else DVFSModel()
-    window_end = float(times[-1])
-    for instance in fleet:
-        instance.window_end = window_end
-
     tick_s = scenario.tick_ms * 1e-3
     governor = _build_governor(
         scenario, fleet, mix, dvfs_model, tick_s
@@ -588,50 +578,26 @@ def prepare_controlled(
         tick_s=engine_tick_s,
         priority_queues=True,
     )
-    engine.begin(requests)
-    return ControlExecution(
-        scenario=scenario,
-        fleet=fleet,
-        mix=mix,
-        capacity=capacity,
-        qps=qps,
-        times=times,
-        requests=requests,
-        engine=engine,
+    return arm_execution(
+        ControlExecution, scenario, fleet, mix, capacity, stream, engine
     )
 
 
 def finalize_controlled(execution: ControlExecution) -> ServingReport:
     """Aggregate a drained :class:`ControlExecution` into its report.
 
-    The tail half of :func:`execute_controlled`; identical whether the
-    engine drained in one ``run_until(inf)`` call, in checkpointed
-    slices, or after a restore in a fresh process — which is what makes
-    resumed reports byte-identical to uninterrupted ones.
+    Identical whether the engine drained in one ``run_until(inf)``
+    call, in checkpointed slices, or after a restore in a fresh
+    process — which is what makes resumed reports byte-identical to
+    uninterrupted ones.  The makespan runs to the last power-relevant
+    instant (last arrival, completion or warm-up), and every powered
+    interval is closed there before energy is integrated.
     """
     scenario = execution.scenario
     fleet = execution.fleet
-    capacity = execution.capacity
-    qps = execution.qps
-    times = execution.times
     requests = execution.requests
-    state = execution.engine.state
-    # Counters read from the engine *state*, not the last run_until
-    # slice, so a resumed run reports identical values to an
-    # uninterrupted one (the CLI's byte-equality pin).  The dispatch
-    # path (and any fallback reason) comes from the run itself: the
-    # rr-ctl kernel backfills the state's counters, so both sources
-    # agree whichever path drained the engine.
-    last = execution.engine.last_run
-    run = EngineRun(
-        events=state.events,
-        tick_actions=state.tick_actions,
-        peak_heap=state.peak_heap,
-        dispatch=last.dispatch if last is not None else "general",
-        fallback=last.fallback if last is not None else "",
-    )
-    n = len(requests)
-    window_end = float(times[-1])
+    run = execution.engine.last_run
+    window_end = float(execution.times[-1])
 
     track_models = any(
         cls.model is not None for cls in scenario.slo_classes
@@ -660,51 +626,16 @@ def finalize_controlled(execution: ControlExecution) -> ServingReport:
         idle = max(0.0, instance.powered_seconds - instance.busy_seconds)
         energy += instance.energy_joules + idle * instance.idle_power_w
 
-    total_batches = sum(i.batches for i in fleet)
-    return ServingReport(
-        mix=scenario.mix,
-        arrival=scenario.arrival,
-        policy=scenario.policy,
-        instances=len(fleet),
-        requests=completed,
-        offered_qps=realized_offered_qps(
-            scenario.arrival, times, n, qps
-        ),
-        capacity_qps=float(capacity),
-        makespan_s=end_time,
-        sustained_qps=completed / end_time if end_time > 0 else 0.0,
-        # An all-shed overload run completes nothing: report explicit
-        # zeros instead of feeding empty arrays through mean/percentile
-        # (NaN + RuntimeWarning in the report).
-        latency_mean_s=summary.latency_mean() if completed else 0.0,
-        latency_p50_s=(
-            summary.latency_percentile(50) if completed else 0.0
-        ),
-        latency_p95_s=(
-            summary.latency_percentile(95) if completed else 0.0
-        ),
-        latency_p99_s=(
-            summary.latency_percentile(99) if completed else 0.0
-        ),
-        latency_max_s=summary.latency_max() if completed else 0.0,
-        mean_wait_s=summary.wait_mean() if completed else 0.0,
-        mean_batch_size=(
-            completed / total_batches if total_batches else 0.0
-        ),
-        setups=sum(i.setups for i in fleet),
-        utilization=tuple(
-            i.busy_seconds / end_time if end_time > 0 else 0.0
-            for i in fleet
-        ),
-        served_per_instance=tuple(i.served for i in fleet),
-        per_model_counts=summary.model_counts,
-        busy_window_s=window_end,
-        utilization_busy=tuple(
-            i.busy_seconds_window / window_end if window_end > 0 else 0.0
-            for i in fleet
-        ),
-        offered_requests=n,
-        shed_requests=n - completed,
+    return assemble_report(
+        scenario,
+        fleet,
+        summary,
+        qps=execution.qps,
+        capacity=execution.capacity,
+        n=len(requests),
+        window_end=window_end,
+        makespan=end_time,
+        run=run,
         energy_joules=float(energy),
         joules_per_request=(
             float(energy / completed) if completed else None
@@ -727,10 +658,6 @@ def finalize_controlled(execution: ControlExecution) -> ServingReport:
             if end_time > 0
             else 0.0
         ),
-        engine_events=run.events,
-        engine_peak_heap=run.peak_heap,
-        engine_dispatch=run.dispatch,
-        engine_fallback=run.fallback,
     )
 
 
@@ -739,26 +666,17 @@ def execute_controlled(
     fleet: Fleet,
     mix,
     capacity: float,
-    qps: float,
-    times: np.ndarray,
-    requests: RequestArena,
+    stream: RequestStream,
     dvfs_model: DVFSModel | None = None,
     *,
     obs=None,
     obs_pid: int = 0,
 ) -> ServingReport:
-    """Drive one prepared fleet over an already-built request stream.
-
-    The tail half of :func:`simulate_controlled`: wires the control
-    hooks, runs the engine to drain, and aggregates the report —
-    now composed of :func:`prepare_controlled` and
-    :func:`finalize_controlled` around one unbounded ``run_until``.
-    ``requests`` is the stream the caller built, as a
-    :class:`~repro.serve.arena.RequestArena` (the engine runs no
-    other kind).
-    """
+    """Drive one prepared fleet over a built request stream:
+    :func:`prepare_controlled`, one ``run_until(inf)`` and
+    :func:`finalize_controlled`."""
     execution = prepare_controlled(
-        scenario, fleet, mix, capacity, qps, times, requests,
+        scenario, fleet, mix, capacity, stream,
         dvfs_model=dvfs_model, obs=obs, obs_pid=obs_pid,
     )
     execution.engine.run_until(_INF)
@@ -776,32 +694,12 @@ def simulate_controlled_detailed(
     """
     dvfs_model = DVFSModel()
     fleet, mix, capacity = build_control_fleet(scenario, dvfs_model)
-
-    qps = scenario.qps if scenario.qps is not None else (
-        _DEFAULT_LOAD * capacity
-    )
-    arrivals = make_arrivals(
-        scenario.arrival,
-        qps,
-        burst_factor=scenario.burst_factor,
-        trace=scenario.trace,
-        diurnal_period_s=scenario.diurnal_period_s,
-        diurnal_amplitude=scenario.diurnal_amplitude,
-    )
-    n = scenario.requests
-    if scenario.arrival == "trace":
-        n = min(n, len(scenario.trace))
-
-    rng = np.random.default_rng(scenario.seed)
-    times = arrivals.times(n, rng)
-    requests = build_requests(
-        mix, times, rng, slo_classes=scenario.slo_classes
-    )
+    stream = build_stream(scenario, mix, capacity)
     report = execute_controlled(
-        scenario, fleet, mix, capacity, qps, times, requests,
+        scenario, fleet, mix, capacity, stream,
         dvfs_model=dvfs_model, obs=obs,
     )
-    return report, requests
+    return report, stream.requests
 
 
 def simulate_controlled(

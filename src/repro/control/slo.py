@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from ..errors import ConfigError
 from ..parallel.cache import extension_field, restore_extended
 from ..serve.fleet import Instance, Request
+from ..serve.simulator import check_finite
 
 __all__ = [
     "SLOClass",
@@ -69,6 +70,9 @@ class SLOClass:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigError("SLO class needs a non-empty name")
+        # NaN passes every range check below: a NaN deadline sheds
+        # every request, a NaN or infinite share breaks the draw.
+        check_finite(self, ("deadline_ms", "share"))
         if self.deadline_ms <= 0:
             raise ConfigError(
                 f"deadline_ms must be positive ({self.deadline_ms})"

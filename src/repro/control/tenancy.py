@@ -49,9 +49,13 @@ from ..power.dvfs import DVFSModel
 from ..serve.arena import RequestArena
 from ..serve.arrival import SharedModulator
 from ..serve.engine import build_requests
-from ..serve.simulator import ServingReport, check_finite
+from ..serve.simulator import (
+    RequestStream,
+    ServingReport,
+    check_finite,
+    offered_qps,
+)
 from .simulator import (
-    _DEFAULT_LOAD,
     ControlScenario,
     build_control_fleet,
     finalize_controlled,
@@ -337,14 +341,11 @@ def _member_point(payload: dict):
     arena = payload["requests"]
     dvfs_model = DVFSModel()
     fleet, mix, capacity = build_control_fleet(member, dvfs_model)
-    qps = (
-        member.qps
-        if member.qps is not None
-        else _DEFAULT_LOAD * capacity
+    stream = RequestStream(
+        offered_qps(member, capacity), arena.arrival, arena, None
     )
     execution = prepare_controlled(
-        member, fleet, mix, capacity, qps,
-        arena.arrival, arena, dvfs_model=dvfs_model,
+        member, fleet, mix, capacity, stream, dvfs_model=dvfs_model
     )
     _drain_epochs(execution.engine, arena, payload["epoch_s"])
     report = finalize_controlled(execution)
@@ -407,11 +408,7 @@ def simulate_multi_fleet(
     for member in scenario.fleets:
         fleet, mix, capacity = build_control_fleet(member, dvfs_model)
         setups.append((fleet, mix, capacity))
-        rates.append(
-            member.qps
-            if member.qps is not None
-            else _DEFAULT_LOAD * capacity
-        )
+        rates.append(offered_qps(member, capacity))
 
     rhos = [
         rates[k] / setups[k][2] if setups[k][2] > 0 else 0.0
@@ -486,9 +483,9 @@ def simulate_multi_fleet(
         fleet, mix, capacity = setups[k]
         arena = streams[k]
         execution = prepare_controlled(
-            member_scenario(k), fleet, mix, capacity, rates[k],
-            arena.arrival, arena, dvfs_model=dvfs_model,
-            obs=obs, obs_pid=k,
+            member_scenario(k), fleet, mix, capacity,
+            RequestStream(rates[k], arena.arrival, arena, None),
+            dvfs_model=dvfs_model, obs=obs, obs_pid=k,
         )
         shed_rows = _drain_epochs(execution.engine, arena, epoch_s)
         reports[k] = finalize_controlled(execution)

@@ -465,6 +465,10 @@ class TraceArrivals:
         if not self.timestamps_s:
             raise ConfigError("trace must contain at least one timestamp")
         arr = np.asarray(self.timestamps_s, dtype=np.float64)
+        if not np.all(np.isfinite(arr)):
+            # NaN passes the ordering checks below and never advances
+            # the event clock; inf breaks the report's offered rate.
+            raise ConfigError("trace timestamps must be finite")
         if np.any(arr < 0) or np.any(np.diff(arr) < 0):
             raise ConfigError(
                 "trace timestamps must be non-negative and sorted"

@@ -22,8 +22,11 @@ Four execution paths share one physics
 --------------------------------------
 
 Requests live in a columnar :class:`~repro.serve.arena.RequestArena`
-(see that module) and the engine picks the fastest path that preserves
-the event loop's observable behaviour *bit-for-bit*:
+(see that module).  Every run has one lifecycle — :meth:`Engine.begin`
+arms an :class:`EngineState`, :meth:`Engine.run_until` advances it,
+and :meth:`Engine.run` is exactly the two — and a pristine
+``run_until(inf)`` is the one place that picks the fastest path that
+preserves the event loop's observable behaviour *bit-for-bit*:
 
 1. **General path** — the ``(time, seq)`` event loop below, processing
    one arrival/completion/wake/tick at a time.  Runs whenever hooks,
@@ -54,8 +57,10 @@ assertions pin.  The vectorized round-robin path assumes no arrival
 timestamp coincides bit-exactly with a batching-timeout instant
 (``a_head + max_wait_s``) — guaranteed for continuous arrival
 processes, and degenerate cases (``max_wait_s == 0`` with tied trace
-timestamps, sub-nanosecond waits) fall back to the general path.  The
-event-driven ``"ll"``/``"rr-ctl"`` folds have no such restriction.
+timestamps, sub-nanosecond waits; see :func:`rr_wait_fallback`) fall
+back to the general path.  The event-driven ``"ll"``/``"rr-ctl"``
+folds have no such restriction.  Bounded ``run_until`` slices and
+resumed runs always step the general loop.
 
 Event ordering is bit-for-bit the legacy ``(time, seq)`` heap order:
 at equal timestamps arrivals precede every scheduled event (their
@@ -71,7 +76,8 @@ object-era loop) or as ``stats="sketch"``: t-digest percentiles from
 :mod:`repro.serve.sketch` with exact mean/max/count.  For round-robin
 scenarios :func:`run_streaming_round_robin` goes further and streams
 arrival chunks through the fast-path kernel, keeping memory flat in
-request count (the million-request mode).
+request count (the million-request mode); it hands back the same
+sketch-mode :class:`RequestSummary`.
 """
 
 from __future__ import annotations
@@ -102,11 +108,10 @@ __all__ = [
     "EngineRun",
     "EngineState",
     "RequestSummary",
-    "StreamingSummary",
     "build_requests",
     "summarize_requests",
     "run_streaming_round_robin",
-    "realized_offered_qps",
+    "rr_wait_fallback",
 ]
 
 _COMPLETE, _WAKE, _TICK = 1, 2, 3
@@ -254,13 +259,15 @@ class EngineRun:
 
 @dataclass(slots=True)
 class EngineState:
-    """Explicit execution state of one general-loop run.
+    """Explicit execution state of one run.
 
     Everything :meth:`Engine.run_until` needs to continue a paused run
     lives here rather than in loop locals: the pending ``(time, seq,
     kind, payload)`` event heap, the next sequence number, the arena
     cursor (arrivals consumed so far), the cumulative event counters,
-    and the static-fleet flag computed at :meth:`Engine.begin`.
+    and the static-fleet flag computed at :meth:`Engine.begin`.  A
+    columnar kernel drains a pristine state in one call and backfills
+    the cursor, event count and clock.
     Per-instance queues and in-flight batches live on the
     :class:`~repro.serve.fleet.Instance` objects themselves and are
     captured alongside this state by :meth:`Engine.snapshot`.
@@ -482,20 +489,9 @@ class Engine:
                 # (unlike the vectorized "rr" kernel) it is exact for
                 # any max_wait, including zero-wait tied arrivals.
                 return "rr-ctl"
-            mw = self.max_wait_s
-            if mw == 0.0:
-                # Zero-wait batching launches at the arrival event
-                # itself; that is only vectorizable when timestamps
-                # are strictly increasing (no simultaneous arrivals).
-                arr = arena.arrival
-                if len(arr) > 1 and not bool(
-                    np.all(arr[1:] > arr[:-1])
-                ):
-                    return self._fall_back(
-                        "zero-wait batching with coincident arrivals"
-                    )
-            elif mw <= 1e-9:
-                return self._fall_back("sub-nanosecond max_wait")
+            reason = rr_wait_fallback(self.max_wait_s, arena.arrival)
+            if reason:
+                return self._fall_back(reason)
             return "rr"
         if ctl is not None:
             return self._fall_back(
@@ -766,9 +762,6 @@ class Engine:
         never enter a queue, exactly as when ``on_arrival`` declined
         them.
 
-        Runs over a begun pristine :class:`EngineState` and backfills
-        it (cursor, events, clock), so ``finalize``-style consumers
-        that read counters from the state see a drained run.
         """
         kind, threshold = self._ctl_spec
         instances = self.fleet.instances
@@ -803,7 +796,6 @@ class Engine:
         )
         shed_ids: list[int] = []
         events = n
-        clock = a_l[n - 1]
         for j, inst in enumerate(instances):
             scale = inst.latency_scale
             # Scaled per-image table per instance: x * scale
@@ -936,8 +928,6 @@ class Engine:
                 nbatches += 1
                 loaded = model
                 ev = fin
-            if bu > clock:
-                clock = bu
             inst.busy_until = bu
             inst.loaded_model = (
                 arena.model_names[loaded] if loaded >= 0 else None
@@ -954,12 +944,6 @@ class Engine:
         if shed_ids:
             arena.shed[shed_ids] = True
         self.policy._next += n
-        # Backfill the begun state so finalizers and resumption
-        # checks (finished, counter reads) see a drained run.
-        state = self.state
-        state.cursor = n
-        state.events = events
-        state.clock = clock
         return EngineRun(
             events=events, tick_actions=0, dispatch="rr-ctl"
         )
@@ -1086,37 +1070,45 @@ class Engine:
         execution state loaded from :attr:`state` on entry and written
         back on exit; the only additions are the two horizon checks,
         which compare against ``t`` before consuming an arrival or
-        popping a scheduled event and are no-ops at ``t = inf`` — so
-        ``run_until(inf)`` is bit-for-bit the legacy ``run()``.
+        popping a scheduled event and are no-ops at ``t = inf``.
         Returns the *cumulative* counters of the run so far.
 
-        A *pristine* begun state (no arrivals consumed, no events
-        processed) draining to infinity over an arena may dispatch to
-        the controlled round-robin kernel instead — the fast path for
-        ``engine.begin(...)``-then-drain callers like the control
-        plane, exact by the same parity pins as :meth:`run`.  Bounded
-        horizons and resumed runs always step the general loop.
+        This is the engine's one dispatch point: a *pristine* begun
+        state (no arrivals consumed, no events processed) draining to
+        infinity runs the columnar kernel :meth:`_fast_mode` picks
+        (``"rr"``, ``"ll"`` or ``"rr-ctl"``) when there is one, exact
+        by the parity pins, and the state is backfilled (cursor,
+        events, clock) so :attr:`finished`, counter reads and the
+        report builders see a drained run whichever path served it.
+        Bounded horizons and resumed runs always step the general
+        loop.
         """
         state = self.state
         requests = self._requests
-        pristine = (
-            state.cursor == 0
+        n = len(requests)
+        if (
+            t == _INF
+            and n
+            and state.cursor == 0
             and state.events == 0
             and state.clock == 0.0
-        )
-        if pristine and t == _INF and len(requests):
+        ):
             mode = self._fast_mode(requests)
-            if mode == "rr-ctl":
-                self.last_run = self._run_round_robin_controlled(
-                    requests
-                )
-                return self.last_run
             if mode is not None:
-                # The serve-plane kernels dispatch via run();
-                # a begun run steps the general loop unchanged.
-                self._fast_reason = (
-                    f'begun run ("{mode}" dispatches via run())'
+                if mode == "rr":
+                    run = self._run_round_robin(requests)
+                elif mode == "ll":
+                    run = self._run_least_loaded(requests)
+                else:
+                    run = self._run_round_robin_controlled(requests)
+                state.cursor = n
+                state.events = run.events
+                state.clock = max(
+                    float(requests.arrival[-1]),
+                    max(inst.busy_until for inst in self.fleet.instances),
                 )
+                self.last_run = run
+                return run
         elif not self._fast_reason:
             # Diagnose at most once per engine (the reason is sticky
             # until _fast_mode reassesses): lead with the config-level
@@ -1126,7 +1118,7 @@ class Engine:
             # checks precede fleet-state checks — so checkpointed
             # reruns report byte-identical telemetry.  Run mechanics
             # are the reason only when the config itself qualifies.
-            if len(requests) and self._fast_mode(requests) is not None:
+            if n and self._fast_mode(requests) is not None:
                 self._fast_reason = (
                     "bounded run_until horizon"
                     if t != _INF
@@ -1144,7 +1136,6 @@ class Engine:
         tick_s = self.tick_s
         static_fleet = state.static_fleet
         heap = state.heap
-        n = len(requests)
         i = state.cursor
         events = state.events
         tick_actions = state.tick_actions
@@ -1247,28 +1238,17 @@ class Engine:
         return run
 
     def run(self, requests: RequestArena) -> EngineRun:
-        """Play ``requests`` (non-decreasing arrival order) to drain.
-
-        ``requests`` is the run's
-        :class:`~repro.serve.arena.RequestArena`, the only request
-        stream the engine accepts; the columnar fast paths serve it
-        when the configuration allows (see :meth:`_fast_mode`), the
-        general loop otherwise.  Either way the run writes outcomes
+        """Play ``requests`` (non-decreasing arrival order) to drain:
+        :meth:`begin` + ``run_until(inf)``, so the one dispatch point
+        in :meth:`run_until` picks the columnar kernel or the general
+        loop.  Either way the run writes outcomes
         (``start``/``finish``/``shed``) into the arena's columns in
         place.
 
         Raises:
-            TypeError: If ``requests`` is some other stream type.
+            TypeError: If ``requests`` is not a
+                :class:`~repro.serve.arena.RequestArena`.
         """
-        _require_arena(requests)
-        if len(requests):
-            mode = self._fast_mode(requests)
-            if mode == "rr":
-                self.last_run = self._run_round_robin(requests)
-                return self.last_run
-            if mode == "ll":
-                self.last_run = self._run_least_loaded(requests)
-                return self.last_run
         self.begin(requests)
         return self.run_until(_INF)
 
@@ -1354,6 +1334,32 @@ def _require_arena(requests) -> None:
             "the engine runs a RequestArena request stream, not "
             f"{type(requests).__name__} (build one with build_requests)"
         )
+
+
+def rr_wait_fallback(max_wait_s: float, arrival: np.ndarray | None) -> str:
+    """Why the vectorized round-robin kernel (:func:`_rr_feed`) cannot
+    reproduce the general loop under this fill window, or ``""`` when
+    it can.
+
+    The kernel assumes no arrival coincides bit-exactly with a
+    batching-timeout instant.  Zero-wait batching launches at the
+    arrival event itself, which is only vectorizable over strictly
+    increasing timestamps — unprovable when ``arrival`` is ``None``
+    (a stream not generated yet, as in the streaming runner).
+    Sub-nanosecond waits fall inside the general loop's ``_EPS``
+    launch rule.  The exact fast path and the sketch-mode streaming
+    gate both ask this one predicate.
+    """
+    if max_wait_s == 0.0:
+        if arrival is None:
+            return "zero-wait batching over an ungenerated stream"
+        if len(arrival) > 1 and not bool(
+            np.all(arrival[1:] > arrival[:-1])
+        ):
+            return "zero-wait batching with coincident arrivals"
+    elif max_wait_s <= 1e-9:
+        return "sub-nanosecond max_wait"
+    return ""
 
 
 # ----------------------------------------------------------------------
@@ -1880,25 +1886,6 @@ def summarize_requests(
 # ----------------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class StreamingSummary:
-    """What :func:`run_streaming_round_robin` hands the report builder.
-
-    Latency aggregates live in ``latency`` (a
-    :class:`~repro.serve.sketch.StreamingLatencyStats`); fleet
-    counters (busy seconds, served, batches, setups, window busy time)
-    were written to the instances in place, exactly like an engine run.
-    """
-
-    completed: int
-    latency: StreamingLatencyStats
-    wait_mean: float
-    model_counts: tuple
-    max_finish: float
-    window_end: float
-    events: int
-
-
 def run_streaming_round_robin(
     fleet: Fleet,
     mix: ScenarioMix,
@@ -1908,7 +1895,7 @@ def run_streaming_round_robin(
     max_batch: int,
     max_wait_s: float,
     chunk: int = _STREAM_CHUNK,
-) -> StreamingSummary:
+) -> tuple[RequestSummary, EngineRun]:
     """Round-robin serve-plane run with O(chunk) resident memory.
 
     Pulls arrival timestamps chunk-at-a-time (see
@@ -1919,6 +1906,13 @@ def run_streaming_round_robin(
     membership could still change.  Completed latencies are folded
     into a t-digest and discarded, so memory stays flat in ``n``: the
     million-request mode.
+
+    Returns a sketch-mode :class:`RequestSummary` (mean wait over all
+    ``n`` requests, which all complete) and the run's
+    :class:`EngineRun` (``dispatch="streaming"``); fleet counters —
+    busy seconds, served, batches, setups, window busy time and the
+    window end (the last arrival) — are written to the instances in
+    place, exactly like an engine run.
 
     The simulated *physics* per processed stream are the engine's
     exactly; the stream itself differs bit-wise from exact mode
@@ -2080,24 +2074,17 @@ def run_streaming_round_robin(
             if c
         )
     )
-    return StreamingSummary(
+    summary = RequestSummary(
         completed=int(sum(served)),
-        latency=latency,
-        wait_mean=wait_sum / n if n else 0.0,
+        latencies=None,
+        waits=None,
         model_counts=model_counts,
         max_finish=max_finish,
-        window_end=window_end,
-        events=events,
+        class_buckets=None,
+        stats="sketch",
+        latency_sketch=latency,
+        wait_mean_value=wait_sum / n if n else 0.0,
     )
-
-
-def realized_offered_qps(
-    arrival: str, times: np.ndarray, n: int, qps: float
-) -> float:
-    """The offered rate a report should carry: trace replays report the
-    rate of the prefix actually played, everything else the configured
-    rate."""
-    if arrival == "trace":
-        span = float(times[-1])
-        return n / span if span > 0 else float(n)
-    return float(qps)
+    return summary, EngineRun(
+        events=events, tick_actions=0, dispatch="streaming"
+    )

@@ -19,18 +19,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from ..arch.params import EDEA_CONFIG, ArchConfig
 from ..errors import ConfigError
 from ..parallel.cache import extension_field, restore_extended
+from .arena import RequestArena
 from .arrival import capture_rng_state, make_arrivals
 from .engine import (
     Engine,
     EngineHooks,
+    EngineRun,
+    RequestSummary,
     build_requests,
-    realized_offered_qps,
+    rr_wait_fallback,
     run_streaming_round_robin,
     summarize_requests,
 )
@@ -41,14 +45,22 @@ from .profile import DEFAULT_WEIGHT_BANDWIDTH, build_mix
 __all__ = [
     "ServingScenario",
     "ServingReport",
+    "RequestStream",
     "ServingExecution",
+    "offered_qps",
+    "build_stream",
+    "build_serving_fleet",
     "prepare_serving",
     "finalize_serving",
+    "assemble_report",
     "simulate",
 ]
 
+_INF = float("inf")
+
 #: Default offered load as a fraction of fleet capacity when no QPS is
-#: requested: high enough to queue, low enough to be stable.
+#: requested (both planes): high enough to queue, low enough to be
+#: stable.
 _DEFAULT_LOAD = 0.7
 
 #: The float fields :class:`ServingScenario` (and the control plane's
@@ -258,6 +270,76 @@ class ServingReport:
         return sum(cs.met for cs in self.class_stats) / offered
 
 
+class RequestStream(NamedTuple):
+    """One run's offered traffic, materialized.
+
+    The input every execution builder takes: fresh runs get it from
+    :func:`build_stream`; checkpoint resumes and multi-fleet members
+    wrap an arena that already exists (``rng_state=None``, since no
+    generator produced it here — a resume's snapshot carries its own).
+    """
+
+    qps: float
+    times: np.ndarray
+    requests: RequestArena
+    #: Bit-generator state right after stream construction — all
+    #: randomness is consumed pre-run, so this is the position a
+    #: checkpoint must round-trip exactly.
+    rng_state: dict | None
+
+
+def offered_qps(scenario, capacity: float) -> float:
+    """The scenario's offered rate: its ``qps``, else the default
+    load fraction of the fleet ``capacity``."""
+    if scenario.qps is not None:
+        return scenario.qps
+    return _DEFAULT_LOAD * capacity
+
+
+def _traffic(scenario, capacity: float):
+    """``(qps, arrivals, n, rng)`` of a serve or control scenario: the
+    arrival process, the request count (traces clamp it) and the
+    seeded generator every draw of the run comes from."""
+    qps = offered_qps(scenario, capacity)
+    arrivals = make_arrivals(
+        scenario.arrival,
+        qps,
+        burst_factor=scenario.burst_factor,
+        trace=scenario.trace,
+        diurnal_period_s=scenario.diurnal_period_s,
+        diurnal_amplitude=scenario.diurnal_amplitude,
+    )
+    n = scenario.requests
+    if scenario.arrival == "trace":
+        n = min(n, len(scenario.trace))
+    return qps, arrivals, n, np.random.default_rng(scenario.seed)
+
+
+def build_stream(scenario, mix, capacity: float) -> RequestStream:
+    """Materialize a serve or control scenario's request stream.
+
+    The one owner of the run's RNG draw order: arrival times first,
+    then the arena's model (and, for control scenarios, SLO-class)
+    draws, on one generator seeded from ``scenario.seed``.
+    """
+    qps, arrivals, n, rng = _traffic(scenario, capacity)
+    times = arrivals.times(n, rng)
+    requests = build_requests(
+        mix, times, rng, getattr(scenario, "slo_classes", None)
+    )
+    return RequestStream(qps, times, requests, capture_rng_state(rng))
+
+
+def build_serving_fleet(scenario: ServingScenario):
+    """``(fleet, mix, capacity)`` of a serve scenario: identical
+    instances at the scenario's mix."""
+    mix = build_mix(
+        scenario.mix, scenario.config, scenario.weight_bandwidth
+    )
+    capacity = scenario.instances / mix.mean_service_seconds()
+    return Fleet(scenario.instances), mix, capacity
+
+
 def simulate(
     scenario: ServingScenario,
     hooks: EngineHooks | None = None,
@@ -282,84 +364,111 @@ def simulate(
             routes the run down the general loop) without changing the
             reported physics.
     """
-    mix = build_mix(
-        scenario.mix, scenario.config, scenario.weight_bandwidth
-    )
-    capacity = scenario.instances / mix.mean_service_seconds()
-    qps = scenario.qps if scenario.qps is not None else (
-        _DEFAULT_LOAD * capacity
-    )
-    arrivals = make_arrivals(
-        scenario.arrival,
-        qps,
-        burst_factor=scenario.burst_factor,
-        trace=scenario.trace,
-        diurnal_period_s=scenario.diurnal_period_s,
-        diurnal_amplitude=scenario.diurnal_amplitude,
-    )
-    n = scenario.requests
-    if scenario.arrival == "trace":
-        n = min(n, len(scenario.trace))
-
-    rng = np.random.default_rng(scenario.seed)
+    fleet, mix, capacity = build_serving_fleet(scenario)
+    max_wait_s = scenario.max_wait_ms * 1e-3
     if (
         scenario.stats == "sketch"
         and hooks is None
         and (obs is None or not obs.active)
         and scenario.policy == "round-robin"
-        and scenario.max_wait_ms > 0
+        and not rr_wait_fallback(max_wait_s, None)
     ):
-        return _simulate_streaming(scenario, mix, arrivals, n, rng, qps, capacity)
-    execution = _prepare(
-        scenario, hooks, mix, arrivals, n, rng, qps, capacity, obs=obs
+        # The flat-memory mode: arrivals chunk-at-a-time through the
+        # exact round-robin kernel, latencies folded into a t-digest.
+        qps, arrivals, n, rng = _traffic(scenario, capacity)
+        summary, run = run_streaming_round_robin(
+            fleet, mix, arrivals, n, rng, scenario.max_batch, max_wait_s
+        )
+        return assemble_report(
+            scenario,
+            fleet,
+            summary,
+            qps=qps,
+            capacity=capacity,
+            n=n,
+            window_end=fleet.instances[0].window_end,
+            makespan=summary.max_finish if summary.completed else 0.0,
+            run=run,
+        )
+    stream = build_stream(scenario, mix, capacity)
+    execution = prepare_serving(
+        scenario, fleet, mix, capacity, stream, hooks, obs=obs
     )
-    # engine.run (not begin/run_until) so the columnar fast paths keep
-    # dispatching for hook-free arena configurations.
-    execution.engine.run(execution.requests)
+    execution.engine.run_until(_INF)
     return finalize_serving(execution)
 
 
 @dataclass
 class ServingExecution:
-    """One built serving run, ready to execute.
+    """One armed run, ready to execute.
 
-    :func:`prepare_serving` materializes the stream and the engine;
-    the caller drives the engine — ``engine.run(requests)`` for the
-    one-shot path (fast dispatch included), or ``engine.begin`` +
-    bounded ``run_until`` slices for checkpointed execution — and
-    :func:`finalize_serving` aggregates the drained execution into
-    the :class:`ServingReport`.
+    Every run has one lifecycle: build the stream, build the execution
+    (:func:`prepare_serving` or
+    :func:`~repro.control.simulator.prepare_controlled`, which calls
+    ``engine.begin``), advance the engine with
+    :meth:`~repro.serve.engine.Engine.run_until` — one ``run_until(inf)``
+    lets the engine dispatch a columnar fast path, bounded slices step
+    the general loop for checkpointed and epoch-stepped runs — and
+    turn the drained execution into its report
+    (:func:`finalize_serving`).
     """
 
-    scenario: ServingScenario
+    scenario: object
+    fleet: Fleet
     mix: object
     capacity: float
     qps: float
     times: np.ndarray
-    requests: object
-    fleet: Fleet
+    requests: RequestArena
     engine: Engine
-    #: Bit-generator state captured right after stream construction —
-    #: all randomness is consumed pre-run, so this is the position a
-    #: checkpoint must round-trip exactly.  ``None`` when the stream
-    #: was loaded from a checkpoint instead of generated.
-    rng_state: dict | None = None
+    #: The stream's post-construction RNG position (``None`` for a
+    #: loaded stream; see :class:`RequestStream`).
+    rng_state: dict | None
 
 
-def _prepare(
-    scenario, hooks, mix, arrivals, n, rng, qps, capacity, obs=None
-) -> ServingExecution:
-    times = arrivals.times(n, rng)
-    requests = build_requests(mix, times, rng)
-    rng_state = capture_rng_state(rng)
-
-    fleet = Fleet(scenario.instances)
-    window_end = float(times[-1])
+def arm_execution(
+    cls, scenario, fleet, mix, capacity, stream: RequestStream, engine
+):
+    """The builders' shared tail: set the busy window, ``begin`` the
+    engine over the stream (carrying its RNG position in the engine
+    state, which snapshots persist) and wrap it all as ``cls``."""
+    window_end = float(stream.times[-1])
     for instance in fleet:
         instance.window_end = window_end
+    engine.begin(stream.requests)
+    if stream.rng_state is not None:
+        engine.state.rng_states = {"main": stream.rng_state}
+    return cls(
+        scenario=scenario,
+        fleet=fleet,
+        mix=mix,
+        capacity=capacity,
+        qps=stream.qps,
+        times=stream.times,
+        requests=stream.requests,
+        engine=engine,
+        rng_state=stream.rng_state,
+    )
+
+
+def prepare_serving(
+    scenario: ServingScenario,
+    fleet: Fleet,
+    mix,
+    capacity: float,
+    stream: RequestStream,
+    hooks: EngineHooks | None = None,
+    *,
+    obs=None,
+) -> ServingExecution:
+    """Build and arm the serve execution over ``stream``.
+
+    Fresh runs pass :func:`build_stream`'s output; a checkpoint resume
+    passes the arena it loaded (which must never be regenerated) and
+    then restores the engine snapshot over the armed state.
+    """
     policy = make_policy(scenario.policy)
     policy.reset()
-
     tick_s = None
     if obs is not None and obs.active:
         hooks = obs.wrap(hooks, pid=0)
@@ -373,90 +482,69 @@ def _prepare(
         hooks=hooks,
         tick_s=tick_s,
     )
-    return ServingExecution(
-        scenario=scenario,
-        mix=mix,
-        capacity=capacity,
-        qps=qps,
-        times=times,
-        requests=requests,
-        fleet=fleet,
-        engine=engine,
-        rng_state=rng_state,
-    )
-
-
-def prepare_serving(
-    scenario: ServingScenario,
-    hooks: EngineHooks | None = None,
-    *,
-    obs=None,
-) -> ServingExecution:
-    """Build the non-streaming execution for ``scenario``.
-
-    The head half of :func:`simulate` (identical build sequence, so
-    identical RNG consumption): mix, capacity, arrival stream, request
-    arena, fleet, policy, engine.  Always takes the build-then-run
-    path — checkpointed runs step the general loop, never the
-    chunk-interleaved streaming mode.
-    """
-    mix = build_mix(
-        scenario.mix, scenario.config, scenario.weight_bandwidth
-    )
-    capacity = scenario.instances / mix.mean_service_seconds()
-    qps = scenario.qps if scenario.qps is not None else (
-        _DEFAULT_LOAD * capacity
-    )
-    arrivals = make_arrivals(
-        scenario.arrival,
-        qps,
-        burst_factor=scenario.burst_factor,
-        trace=scenario.trace,
-        diurnal_period_s=scenario.diurnal_period_s,
-        diurnal_amplitude=scenario.diurnal_amplitude,
-    )
-    n = scenario.requests
-    if scenario.arrival == "trace":
-        n = min(n, len(scenario.trace))
-    rng = np.random.default_rng(scenario.seed)
-    return _prepare(
-        scenario, hooks, mix, arrivals, n, rng, qps, capacity, obs=obs
+    return arm_execution(
+        ServingExecution, scenario, fleet, mix, capacity, stream, engine
     )
 
 
 def finalize_serving(execution: ServingExecution) -> ServingReport:
-    """Aggregate a drained :class:`ServingExecution` into its report.
-
-    The tail half of :func:`simulate`; identical whether the engine
-    drained via ``run``, via checkpointed ``run_until`` slices, or
-    after a restore in a fresh process.
-    """
-    scenario = execution.scenario
-    fleet = execution.fleet
-    capacity = execution.capacity
-    qps = execution.qps
-    times = execution.times
-    requests = execution.requests
-    n = len(requests)
-    window_end = float(times[-1])
-
-    summary = summarize_requests(requests, stats=scenario.stats)
-    completed = summary.completed
+    """Aggregate a drained :class:`ServingExecution` into its report;
+    identical whether the engine drained in one ``run_until(inf)``, in
+    checkpointed slices, or after a restore in a fresh process."""
+    summary = summarize_requests(
+        execution.requests, stats=execution.scenario.stats
+    )
     # An all-shed run (a shedding hook under heavy overload) completes
-    # nothing: report explicit zeros instead of feeding empty arrays to
-    # mean/percentile (NaN + RuntimeWarning) or a -inf max_finish.
-    makespan = summary.max_finish if completed else 0.0
-    total_batches = sum(i.batches for i in fleet)
+    # nothing: report an explicit zero makespan, not a -inf max_finish.
+    return assemble_report(
+        execution.scenario,
+        execution.fleet,
+        summary,
+        qps=execution.qps,
+        capacity=execution.capacity,
+        n=len(execution.requests),
+        window_end=float(execution.times[-1]),
+        makespan=summary.max_finish if summary.completed else 0.0,
+        run=execution.engine.last_run,
+    )
 
+
+def assemble_report(
+    scenario,
+    fleet: Fleet,
+    summary: RequestSummary,
+    qps: float,
+    capacity: float,
+    n: int,
+    window_end: float,
+    makespan: float,
+    run: EngineRun,
+    **control_fields,
+) -> ServingReport:
+    """The one :class:`ServingReport` assembly behind every report
+    builder (serve, streaming and control): rates, latencies, batch
+    and fleet statistics from a drained run's ``summary`` and
+    ``fleet`` counters over ``makespan``; ``control_fields`` fill the
+    control plane's extra fields.
+
+    Trace replays report the offered rate of the prefix actually
+    played, everything else the configured ``qps``.  An all-shed run
+    completes nothing and reports explicit zeros instead of feeding
+    empty arrays to mean/percentile (NaN + RuntimeWarning).
+    """
+    completed = summary.completed
+    if scenario.arrival == "trace":
+        offered = n / window_end if window_end > 0 else float(n)
+    else:
+        offered = float(qps)
+    total_batches = sum(i.batches for i in fleet)
     return ServingReport(
         mix=scenario.mix,
         arrival=scenario.arrival,
         policy=scenario.policy,
-        instances=scenario.instances,
+        instances=len(fleet),
         requests=completed,
-        offered_qps=realized_offered_qps(
-            scenario.arrival, times, n, qps
-        ),
+        offered_qps=offered,
         capacity_qps=float(capacity),
         makespan_s=makespan,
         sustained_qps=completed / makespan if makespan > 0 else 0.0,
@@ -491,104 +579,9 @@ def finalize_serving(execution: ServingExecution) -> ServingReport:
         ),
         offered_requests=n,
         shed_requests=n - completed,
-        engine_events=(
-            execution.engine.last_run.events
-            if execution.engine.last_run is not None
-            else 0
-        ),
-        engine_peak_heap=(
-            execution.engine.last_run.peak_heap
-            if execution.engine.last_run is not None
-            else 0
-        ),
-        engine_dispatch=(
-            execution.engine.last_run.dispatch
-            if execution.engine.last_run is not None
-            else ""
-        ),
-        engine_fallback=(
-            execution.engine.last_run.fallback
-            if execution.engine.last_run is not None
-            else ""
-        ),
-    )
-
-
-def _simulate_streaming(
-    scenario: ServingScenario,
-    mix,
-    arrivals,
-    n: int,
-    rng: np.random.Generator,
-    qps: float,
-    capacity: float,
-) -> ServingReport:
-    """The flat-memory round-robin mode behind ``stats="sketch"``.
-
-    Arrivals are generated chunk-at-a-time and fed through the same
-    vectorized round-robin kernel the exact fast path uses (see
-    :func:`repro.serve.engine.run_streaming_round_robin`); completed
-    latencies fold into a t-digest and are discarded.  Only hook-free
-    round-robin scenarios with a positive batching timeout qualify —
-    anything else takes the ordinary build-then-run path with sketch
-    summarization (still flat in *latency retention*, not in arrival
-    storage).
-    """
-    fleet = Fleet(scenario.instances)
-    stream = run_streaming_round_robin(
-        fleet,
-        mix,
-        arrivals,
-        n,
-        rng,
-        max_batch=scenario.max_batch,
-        max_wait_s=scenario.max_wait_ms * 1e-3,
-    )
-    completed = stream.completed
-    makespan = stream.max_finish if completed else 0.0
-    window_end = stream.window_end
-    total_batches = sum(i.batches for i in fleet)
-    return ServingReport(
-        mix=scenario.mix,
-        arrival=scenario.arrival,
-        policy=scenario.policy,
-        instances=scenario.instances,
-        requests=completed,
-        offered_qps=realized_offered_qps(
-            scenario.arrival, np.array([window_end]), n, qps
-        ),
-        capacity_qps=float(capacity),
-        makespan_s=makespan,
-        sustained_qps=completed / makespan if makespan > 0 else 0.0,
-        latency_mean_s=stream.latency.mean if completed else 0.0,
-        latency_p50_s=(
-            stream.latency.quantile(0.50) if completed else 0.0
-        ),
-        latency_p95_s=(
-            stream.latency.quantile(0.95) if completed else 0.0
-        ),
-        latency_p99_s=(
-            stream.latency.quantile(0.99) if completed else 0.0
-        ),
-        latency_max_s=stream.latency.max if completed else 0.0,
-        mean_wait_s=stream.wait_mean if completed else 0.0,
-        mean_batch_size=(
-            completed / total_batches if total_batches else 0.0
-        ),
-        setups=sum(i.setups for i in fleet),
-        utilization=tuple(
-            i.busy_seconds / makespan if makespan > 0 else 0.0
-            for i in fleet
-        ),
-        served_per_instance=tuple(i.served for i in fleet),
-        per_model_counts=stream.model_counts,
-        busy_window_s=window_end,
-        utilization_busy=tuple(
-            i.busy_seconds_window / window_end if window_end > 0 else 0.0
-            for i in fleet
-        ),
-        offered_requests=n,
-        shed_requests=n - completed,
-        engine_events=stream.events,
-        engine_dispatch="streaming",
+        engine_events=run.events,
+        engine_peak_heap=run.peak_heap,
+        engine_dispatch=run.dispatch,
+        engine_fallback=run.fallback,
+        **control_fields,
     )

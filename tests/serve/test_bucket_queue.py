@@ -231,9 +231,7 @@ class TestSnapshotRestore:
             }
         )
         loaded = pickle.loads(blob)
-        rebuilt = cp._rebuild_control(
-            _GOVERNED, loaded["times"], loaded["requests"]
-        )
+        rebuilt, _, _ = cp._begin("control", _GOVERNED, loaded, None)
         rebuilt.engine.restore(loaded["snapshot"], rebuilt.requests)
         assert [
             [request.index for request in inst.queue]

@@ -97,10 +97,20 @@ class TestRunUntil:
     """The step-bounded entry point against the one-shot run."""
 
     def test_sliced_run_matches_one_shot(self):
+        """A general-loop drain against the one-shot ``"ll"`` kernel: a
+        bounded first slice keeps the checkpointed side off the fast
+        path (a pristine ``run_until(inf)`` would dispatch it too)."""
         scenario = ServingScenario(
             requests=1500, seed=7, arrival="bursty", burst_factor=6.0
         )
         reference = simulate(scenario)
+        assert reference.engine_dispatch == "ll"
+        execution, engine, finalize = cp._begin_serve(scenario)
+        engine.run_until(0.05 * float(execution.times[-1]))
+        engine.run_until(float("inf"))
+        sliced = finalize(execution)
+        assert sliced.engine_dispatch == "general"
+        assert sliced == reference
         assert run_serve_checkpointed(scenario) == reference
 
     def test_slice_boundaries_are_invisible(self):

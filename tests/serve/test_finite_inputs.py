@@ -8,7 +8,11 @@ now raises :class:`~repro.errors.ConfigError` in the scenario's
 ``__post_init__`` and exits 2 with a flag-named error at the CLI.
 ``MultiFleetScenario`` had the same holes in its modulator and hop
 knobs (``period_s=nan`` hung, a NaN hop forwarded nothing, NaN/inf
-burst knobs crashed with ``IndexError``), as did ``epoch_s``.
+burst knobs crashed with ``IndexError``), as did ``epoch_s``.  The
+last holes were the nested specs and traces: NaN ``InstanceSpec``
+operating points and NaN trace timestamps hung, an ``inf`` trace
+warned its way into a report, and NaN DVFS rungs and SLO deadlines
+completed nothing.
 """
 
 from __future__ import annotations
@@ -217,3 +221,95 @@ def test_multi_fleet_cache_key_unchanged_by_check():
     assert make_key("multi_fleet_point", args=(scenario,)) == make_key(
         "multi_fleet_point", args=(_multi_fleet(),)
     )
+
+
+def _run_guarded(body: str) -> subprocess.CompletedProcess:
+    """Run ``body`` in a fresh interpreter under a hard timeout: a hole
+    that used to hang fails the test instead of stalling the suite.
+    ``body`` exits with ``rejected: <message>`` on a ConfigError."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
+    script = (
+        "import sys\n"
+        "from repro.errors import ConfigError\n"
+        "nan = float('nan')\n"
+        "try:\n"
+        + "".join(f"    {line}\n" for line in body.splitlines())
+        + "except ConfigError as exc:\n"
+        "    sys.exit(f'rejected: {exc}')\n"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
+@pytest.mark.parametrize("field", ["voltage_v", "frequency_hz"])
+def test_instance_spec_nan_rejected_not_hung(field):
+    proc = _run_guarded(
+        "from repro.control import ControlScenario, InstanceSpec\n"
+        "from repro.control import simulate_controlled\n"
+        "simulate_controlled(ControlScenario(\n"
+        f"    requests=50, fleet=(InstanceSpec({field}=nan),),\n"
+        "))"
+    )
+    assert f"rejected: {field} must be finite" in proc.stderr, proc.stderr
+
+
+def test_trace_nan_rejected_not_hung():
+    proc = _run_guarded(
+        "from repro.serve import ServingScenario, simulate\n"
+        "simulate(ServingScenario(\n"
+        "    arrival='trace', trace=(0.0, nan, 0.2), requests=3,\n"
+        "))"
+    )
+    assert "rejected: trace timestamps must be finite" in proc.stderr, (
+        proc.stderr
+    )
+
+
+def test_trace_inf_rejected():
+    from repro.serve import simulate
+
+    scenario = ServingScenario(
+        arrival="trace", trace=(0.0, 0.1, _INF), requests=3
+    )
+    with pytest.raises(ConfigError, match="trace timestamps must be finite"):
+        simulate(scenario)
+
+
+def test_dvfs_ladder_nan_rejected():
+    with pytest.raises(ConfigError, match="dvfs_ladder"):
+        ControlScenario(autoscale="dvfs", dvfs_ladder=(0.6, _NAN))
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"deadline_ms": _NAN}, "deadline_ms"),
+        ({"deadline_ms": 5.0, "share": _NAN}, "share"),
+        ({"deadline_ms": 5.0, "share": _INF}, "share"),
+    ],
+)
+def test_slo_class_rejects_non_finite(kwargs, field):
+    from repro.control import SLOClass
+
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        SLOClass("a", **kwargs)
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        ("parse_slo_classes", "a:deadline=nan"),
+        ("parse_fleet_spec", "nanx2"),
+    ],
+)
+def test_cli_spec_parsers_reject_non_finite(parse, text):
+    import repro.control as control
+
+    with pytest.raises(ConfigError, match="must be finite"):
+        getattr(control, parse)(text)

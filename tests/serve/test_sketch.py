@@ -214,6 +214,40 @@ class TestSimulateSketchMode:
             exact.latency_mean_s, rel=1e-12
         )
 
+    @pytest.mark.parametrize("arrival", ["poisson", "bursty"])
+    @pytest.mark.parametrize("max_wait_ms", [5.0, 1e-3, 1e-6, 1e-7, 1e-9])
+    def test_streaming_refuses_what_the_rr_kernel_refuses(
+        self, arrival, max_wait_ms
+    ):
+        """Streaming feeds the exact fast path's round-robin kernel,
+        so it must refuse the fill windows that path refuses.  At
+        ``max_wait_ms=1e-9`` (a sub-nanosecond wait, inside the general
+        loop's launch epsilon) the streamed run used to finish 1e-12 s
+        off the exact one.  Below one arrival chunk both modes draw the
+        same stream, so every exact-valued field must agree (the means
+        up to summation order, as above)."""
+        base = ServingScenario(
+            requests=3_000,
+            seed=3,
+            qps=20_000.0,
+            policy="round-robin",
+            arrival=arrival,
+            max_wait_ms=max_wait_ms,
+        )
+        exact = simulate(base)
+        sketch = simulate(dataclasses.replace(base, stats="sketch"))
+        for field in (
+            "makespan_s",
+            "latency_max_s",
+            "served_per_instance",
+            "setups",
+        ):
+            assert getattr(sketch, field) == getattr(exact, field), field
+        for field in ("latency_mean_s", "mean_wait_s"):
+            assert getattr(sketch, field) == pytest.approx(
+                getattr(exact, field), rel=1e-12
+            ), field
+
     def test_exact_mode_retains_full_percentile_semantics(self):
         """Tier-0 regression: exact mode is still full retention +
         ``np.percentile`` (the PR-4 semantics the goldens pin)."""
