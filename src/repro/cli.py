@@ -918,6 +918,11 @@ def _multi_fleet(args, base, cache, out, obs=None) -> None:
     _emit_obs(args, obs, out)
     if args.json_path:
         payload = {"multi_fleet": multi_fleet_to_dict(report)}
+        # Per-member execution telemetry, beside the report as in
+        # _write_json.
+        engine = [engine_counters_dict(f) for f in report.fleets]
+        if any(entry is not None for entry in engine):
+            payload["engine"] = engine
         if obs is not None:
             metrics = obs.metrics_payload()
             if metrics is not None:

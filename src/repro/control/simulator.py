@@ -82,7 +82,7 @@ __all__ = [
 _INF = float("inf")
 
 #: Same feasibility epsilon as the shedders in :mod:`repro.control.slo`
-#: — the batched admission hook must reproduce their floats bit-for-bit.
+#: — the columnar admission rule must reproduce their floats bit-for-bit.
 _EPS = 1e-12
 
 #: The data-plane float fields plus the control knobs that must be
@@ -238,50 +238,43 @@ class ControlHooks(EngineHooks):
         self._observe_arrival = getattr(
             governor, "observe_arrival", None
         )
-        # Which batched-admission kernel applies.  Exact type checks:
+        # Which columnar admission rule applies.  Exact type checks:
         # PriorityShedding subclasses QueueDepthShedding but preempts
         # queued victims, so it (and any other subclass) must keep the
         # generic scalar path.
         shedder_type = type(shedder)
         if shedder_type is NoShedding:
-            self._batch_kind = "none"
+            self._shed_kind = "none"
         elif shedder_type is DeadlineShedding:
-            self._batch_kind = "deadline"
+            self._shed_kind = "deadline"
         elif shedder_type is QueueDepthShedding:
-            self._batch_kind = "queue-depth"
+            self._shed_kind = "queue-depth"
         else:
-            self._batch_kind = "generic"
-        # Per-arena column tables for the deadline kernel, cached by
+            self._shed_kind = "generic"
+        # Per-arena column tables for the deadline rule, cached by
         # arena identity (one .tolist() per run, not per request).
-        self._batch_cols = None
+        self._deadline_cols = None
 
     def on_arrival(self, request, instance, now, engine) -> bool:
-        if self._observe_arrival is not None:
-            self._observe_arrival(now)
-        admitted, victim = self.shedder.admit(request, instance, now)
-        if victim is not None:
-            victim.shed = True
-        return admitted
+        """Admission at the instance the policy chose.
 
-    def on_arrival_batch(
-        self, arena, index, request, instance, now, engine
-    ) -> bool:
-        """Columnar admission: same decisions (and floats) as
-        :meth:`on_arrival`, reading arena columns instead of view
-        properties.  Shedders outside the three vectorizable kinds —
-        and heterogeneous instances with their own profile tables —
-        delegate to the scalar shedder unchanged."""
+        The three vectorizable shedding kinds decide from arena
+        columns (the view's ``arena``/``i``) with the same decisions
+        and floats as their shedder's ``admit``; other shedders — and
+        heterogeneous instances with their own profile tables — run
+        the scalar shedder, which may preempt a queued victim."""
         if self._observe_arrival is not None:
             self._observe_arrival(now)
-        kind = self._batch_kind
+        kind = self._shed_kind
         if kind == "none":
             return True
         if kind == "queue-depth":
             return len(instance.queue) < self.shedder.threshold
         if kind == "deadline" and instance.profiles is None:
-            cols = self._batch_cols
+            arena = request.arena
+            cols = self._deadline_cols
             if cols is None or cols[0] is not arena:
-                cols = self._batch_cols = (
+                cols = self._deadline_cols = (
                     arena,
                     (arena.deadline + _EPS).tolist(),
                     arena.per_image.tolist(),
@@ -289,6 +282,7 @@ class ControlHooks(EngineHooks):
                 )
             # Inlined Instance.estimated_completion/pending_seconds,
             # same float order as DeadlineShedding.admit.
+            index = request.i
             pending = instance.busy_until - now
             if pending < 0.0:
                 pending = 0.0
@@ -314,7 +308,7 @@ class ControlHooks(EngineHooks):
         declared shedding rules are exactly ``on_arrival``."""
         if self.governor is not None:
             return None
-        kind = self._batch_kind
+        kind = self._shed_kind
         if kind == "generic":
             return None
         return (kind, getattr(self.shedder, "threshold", 0))
@@ -521,7 +515,7 @@ class ControlExecution(ServingExecution):
     :func:`prepare_controlled` and turned into its report by
     :func:`finalize_controlled`, whether the engine drained in one
     ``run_until(inf)`` (which may dispatch the ``"rr-ctl"`` kernel) or
-    in bounded checkpoint or epoch slices.
+    in bounded checkpoint slices.
     """
 
 

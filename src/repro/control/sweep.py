@@ -46,7 +46,7 @@ def multi_fleet_sweep(
 
     With a single scenario the worker fan-out has nothing to spread
     over, so ``jobs`` is routed *into* the co-simulation instead:
-    member fleets shard across processes at the spillover epoch
+    member fleets shard across processes at the spillover phase
     barrier.  Reports are bit-identical either way, so both routes
     share one cache key.
     """

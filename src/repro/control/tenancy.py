@@ -23,18 +23,17 @@ admission control; spillover can never loop back into a fleet that
 already ran.
 
 Every member fleet is its own :class:`~repro.serve.engine.Engine`,
-advanced through :meth:`~repro.serve.engine.Engine.run_until`-bounded
-*epochs* with the spillover exchange at the phase barrier (donors
-drain, shed rows are forwarded as ``(donor arena, row)`` references,
-and each receiver's home arena is merged with its spill-ins into one
-new :class:`~repro.serve.arena.RequestArena` before it drains — no
-request is ever copied into an object of its own).  Epoch
-length and process sharding (``epoch_s``/``jobs``, keyword-only) are
-execution details — any positive epoch and any job count reproduce
-the identical report — and everything — the latent path, per-fleet
-thinning, engine order — is a pure function of the frozen scenario,
-so multi-fleet reports are cacheable content keys exactly like
-single-fleet ones.
+drained in one :meth:`~repro.serve.engine.Engine.run_until` call, with
+the spillover exchange at a one-shot phase barrier (donors drain, shed
+rows are forwarded as ``(donor arena, row)`` references, and each
+receiver's home arena is merged with its spill-ins into one new
+:class:`~repro.serve.arena.RequestArena` before it drains — no request
+is ever copied into an object of its own).  Process sharding
+(``jobs``, keyword-only) is an execution detail — any job count
+reproduces the identical report — and everything — the latent path,
+per-fleet thinning, engine order — is a pure function of the frozen
+scenario, so multi-fleet reports are cacheable content keys exactly
+like single-fleet ones.
 """
 
 from __future__ import annotations
@@ -58,8 +57,7 @@ from ..serve.simulator import (
 from .simulator import (
     ControlScenario,
     build_control_fleet,
-    finalize_controlled,
-    prepare_controlled,
+    execute_controlled,
 )
 from .slo import SLOClass
 
@@ -218,7 +216,7 @@ class MultiFleetReport:
 def _forward_target(
     request,
     receivers: list[int],
-    mixes: dict,
+    mixes: list,
     hop_s: float,
 ) -> int | None:
     """The sibling a shed request spills to: the first receiver (most
@@ -299,43 +297,20 @@ def _merge_spill_ins(
     return merged, position[len(home):]
 
 
-def _drain_epochs(engine, arena: RequestArena, epoch_s: float) -> list[int]:
-    """Advance one member engine over ``arena`` to drain in
-    ``epoch_s``-bounded ``run_until`` slices.
-
-    Returns the arena rows the member's admission control shed, in
-    stream order, collected per consumed arrival-cursor window — the
-    rows eligible for spillover at the next exchange barrier.  (Sheds
-    happen only at admission, so the concatenated windows cover every
-    shed request exactly once.)
-
-    The slicing is bit-for-bit the one-shot run: ``run_until`` is the
-    same loop with a horizon check.
-    """
-    shed_rows: list[int] = []
-    prev = engine.state.cursor
-    t = epoch_s
-    while not engine.finished:
-        engine.run_until(t)
-        cursor = engine.state.cursor
-        if cursor > prev:
-            shed_rows.extend(arena.shed_indices(prev, cursor))
-        prev = cursor
-        t += epoch_s
-    return shed_rows
-
-
-def _member_point(payload: dict):
-    """Worker half of the spillover barrier: run one member fleet.
+def _member_point(payload: dict, obs=None, obs_pid: int = 0):
+    """Run one member fleet to drain — serially in-process or as a
+    sharded worker.
 
     ``payload`` is checkpoint-shaped — the member's frozen scenario
     plus its materialized request arena (for receivers, the home
     traffic already merged with the spill-ins at the barrier).  The
-    worker rebuilds the fleet deterministically, epoch-steps the
-    engine to drain, and ships back the report together with the
-    arena's outcome columns, which the parent writes back into its
-    own copy (subprocess arena mutations never propagate by
-    themselves).
+    member rebuilds its fleet deterministically, drains in one
+    ``run_until(inf)`` (so a governor-free member may take a columnar
+    kernel), and returns the report together with the arena's outcome
+    columns, which the parent writes back into its own copy
+    (subprocess arena mutations never propagate by themselves).
+    ``obs``/``obs_pid`` record the member into an in-process telemetry
+    session as trace process ``obs_pid``.
     """
     member = payload["scenario"]
     arena = payload["requests"]
@@ -344,38 +319,31 @@ def _member_point(payload: dict):
     stream = RequestStream(
         offered_qps(member, capacity), arena.arrival, arena, None
     )
-    execution = prepare_controlled(
-        member, fleet, mix, capacity, stream, dvfs_model=dvfs_model
+    report = execute_controlled(
+        member, fleet, mix, capacity, stream,
+        dvfs_model=dvfs_model, obs=obs, obs_pid=obs_pid,
     )
-    _drain_epochs(execution.engine, arena, payload["epoch_s"])
-    report = finalize_controlled(execution)
     return report, arena.shed, arena.start, arena.finish
 
 
 def simulate_multi_fleet(
     scenario: MultiFleetScenario,
     *,
-    epoch_s: float | None = None,
     jobs: int = 1,
     obs=None,
 ) -> MultiFleetReport:
     """Run one correlated multi-fleet scenario to completion.
 
     Deterministic for a given scenario; safe to cache and to fan out
-    across worker processes.  Both knobs below are keyword-only
-    execution details — they never perturb the result or the cache
-    content key.
+    across worker processes.  ``jobs`` is a keyword-only execution
+    detail — it never perturbs the result or the cache content key.
+
+    Every member drains in one ``run_until(inf)``; donors run first,
+    their shed rows cross a one-shot phase barrier as spillover, and
+    receivers run after it.
 
     Args:
         scenario: The frozen scenario description.
-        epoch_s: Spillover epoch length in simulated seconds (default:
-            the scenario's modulator ``period_s``).  Each member fleet
-            advances through its run in ``run_until(epoch)`` slices,
-            collecting newly shed requests per consumed arrival-cursor
-            window; the donor -> receiver exchange happens at the
-            barrier between the donor and receiver phases.  Any
-            positive value yields the identical report — the slicing
-            is bit-for-bit the one-shot run.
         jobs: Worker processes for the member fleets (``1`` = serial).
             Donors shard across processes first, receivers after the
             exchange barrier; each worker gets a checkpoint-shaped
@@ -395,25 +363,17 @@ def simulate_multi_fleet(
         np.random.default_rng([scenario.seed, 0])
     )
     dvfs_model = DVFSModel()
-    if epoch_s is None:
-        epoch_s = scenario.period_s
-    if not 0 < epoch_s < float("inf"):
-        raise ConfigError(
-            f"epoch_s must be positive and finite ({epoch_s})"
-        )
 
     n_fleets = len(scenario.fleets)
-    setups = []  # (fleet, mix, capacity) per member
+    mixes = []
     rates = []
+    rhos = []  # offered QPS over capacity, per member
     for member in scenario.fleets:
-        fleet, mix, capacity = build_control_fleet(member, dvfs_model)
-        setups.append((fleet, mix, capacity))
-        rates.append(offered_qps(member, capacity))
-
-    rhos = [
-        rates[k] / setups[k][2] if setups[k][2] > 0 else 0.0
-        for k in range(n_fleets)
-    ]
+        _, mix, capacity = build_control_fleet(member, dvfs_model)
+        rate = offered_qps(member, capacity)
+        mixes.append(mix)
+        rates.append(rate)
+        rhos.append(rate / capacity if capacity > 0 else 0.0)
 
     # Correlated arrivals: every fleet thins against the one shared
     # path on its own substream, then draws its request content
@@ -427,7 +387,7 @@ def simulate_multi_fleet(
         )
         home_requests.append(
             build_requests(
-                setups[k][1],
+                mixes[k],
                 fleet_times,
                 rng,
                 slo_classes=member.slo_classes,
@@ -441,7 +401,6 @@ def simulate_multi_fleet(
         key=lambda k: (rhos[k], k),
     )
     hop_s = scenario.spillover_hop_ms * 1e-3
-    mixes = {k: setups[k][1] for k in receivers}
 
     arrival_label = f"shared-{scenario.modulator}"
     reports: list[ServingReport | None] = [None] * n_fleets
@@ -477,28 +436,14 @@ def simulate_multi_fleet(
             )
         return member
 
-    def run_member(k: int) -> list[int]:
-        """In-process member run: epoch-stepped on the parent's own
-        fleet and stream; returns the shed rows (stream order)."""
-        fleet, mix, capacity = setups[k]
-        arena = streams[k]
-        execution = prepare_controlled(
-            member_scenario(k), fleet, mix, capacity,
-            RequestStream(rates[k], arena.arrival, arena, None),
-            dvfs_model=dvfs_model, obs=obs, obs_pid=k,
-        )
-        shed_rows = _drain_epochs(execution.engine, arena, epoch_s)
-        reports[k] = finalize_controlled(execution)
-        return shed_rows
-
-    def forward(k: int, shed_rows: list[int]) -> None:
+    def forward(k: int) -> None:
         """Donor k's barrier exchange: spill its shed rows to the
         sibling with the most headroom that can still make the
         deadline."""
         if not receivers:
             return
         arena = home_requests[k]
-        for row in shed_rows:
+        for row in arena.shed_indices():
             request = arena.view(row)
             target = _forward_target(request, receivers, mixes, hop_s)
             if target is None:
@@ -514,17 +459,17 @@ def simulate_multi_fleet(
             "kind": "control",
             "scenario": member_scenario(k),
             "requests": streams[k],
-            "epoch_s": epoch_s,
         }
 
-    def overlay(k: int, result) -> list[int]:
+    def overlay(k: int, result) -> None:
         report, shed_col, start_col, finish_col = result
         reports[k] = report
+        # A worker's columns are copies; in-process ones are the
+        # arena's own, and writing them back is a no-op.
         arena = streams[k]
         arena.shed[:] = shed_col
         arena.start[:] = start_col
         arena.finish[:] = finish_col
-        return arena.shed_indices()
 
     # Subprocess workers cannot feed the in-process recorder/timelines,
     # so an active telemetry session pins the members to the serial
@@ -537,41 +482,35 @@ def simulate_multi_fleet(
         else None
     )
 
-    def run_phases() -> None:
-        # Donor phase: donors epoch-step to drain (donors never
-        # receive, so they shard freely); their sheds cross the
-        # exchange barrier as references into the donor arenas.
-        if executor is not None and len(donors) > 1:
-            for k, result in zip(
-                donors,
-                executor.map(
-                    _member_point, [(payload(k),) for k in donors]
-                ),
-            ):
-                forward(k, overlay(k, result))
+    def run_phase(members: list[int], then=None) -> None:
+        """Drain ``members`` in order (sharded when the pool is up and
+        there is more than one), calling ``then(k)`` after member k's
+        outcomes are overlaid."""
+        if executor is not None and len(members) > 1:
+            results = executor.map(
+                _member_point, [(payload(k),) for k in members]
+            )
         else:
-            for k in donors:
-                forward(k, run_member(k))
+            results = (_member_point(payload(k), obs, k) for k in members)
+        for k, result in zip(members, results):
+            overlay(k, result)
+            if then is not None:
+                then(k)
 
+    def run_phases() -> None:
+        # Donor phase: donors never receive, so they shard freely;
+        # their sheds cross the barrier as references into the donor
+        # arenas.
+        run_phase(donors, then=forward)
         # The barrier merge: each receiver's home traffic and its
         # spill-ins become one arena in arrival order, then the
-        # receivers epoch-step to drain.
+        # receivers drain.
         for k in receivers:
             if spill_ins[k]:
                 streams[k], spill_rows[k] = _merge_spill_ins(
                     home_requests[k], spill_ins[k], hop_s
                 )
-        if executor is not None and len(receivers) > 1:
-            for k, result in zip(
-                receivers,
-                executor.map(
-                    _member_point, [(payload(k),) for k in receivers]
-                ),
-            ):
-                overlay(k, result)
-        else:
-            for k in receivers:
-                run_member(k)
+        run_phase(receivers)
 
     if executor is not None:
         # One pool spans both phases: the barrier exchanges payloads,

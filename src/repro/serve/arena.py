@@ -222,18 +222,11 @@ class RequestArena:
         for i in range(len(self.arrival)):
             yield self.view(i)
 
-    def shed_indices(self, lo: int = 0, hi: int | None = None) -> list:
-        """Row indices of shed requests in ``[lo, hi)``, ascending.
-
-        The epoch-stepped spillover exchange walks the arrival-cursor
-        window an epoch consumed and forwards exactly the requests the
-        admission controller shed in it, in stream order — the same
-        order a full-run scan would visit them."""
-        if hi is None:
-            hi = len(self.arrival)
-        return (
-            np.flatnonzero(self.shed[lo:hi]) + lo
-        ).tolist()
+    def shed_indices(self) -> list:
+        """Row indices of shed requests, ascending — the rows a
+        multi-fleet donor forwards at the spillover barrier, in stream
+        order."""
+        return np.flatnonzero(self.shed).tolist()
 
 
 def _class_pools(mix: ScenarioMix, slo_classes: tuple) -> dict:

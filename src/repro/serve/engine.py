@@ -149,29 +149,6 @@ class EngineHooks:
         """
         return True
 
-    def on_arrival_batch(
-        self,
-        arena: "RequestArena",
-        index: int,
-        request: Request,
-        instance: Instance,
-        now: float,
-        engine: "Engine",
-    ) -> bool:
-        """Columnar admission decision over an arena request stream.
-
-        The engine probes this hook once at construction; when it is
-        overridden, the general loop calls it *instead of*
-        :meth:`on_arrival` for every arrival, passing the arena
-        and the request's row ``index`` so the hook can amortize
-        per-event Python overhead against cached column tables (one
-        ``.tolist()`` per arena instead of per-request float boxing).
-        Implementations must decide — and side-effect — exactly as
-        their :meth:`on_arrival` would, bit-for-bit.  The base
-        implementation just delegates.
-        """
-        return self.on_arrival(request, instance, now, engine)
-
     def fast_admission(self) -> tuple[str, int] | None:
         """Declare this hook set vectorizable for the ``"rr-ctl"`` path.
 
@@ -317,7 +294,6 @@ class Engine:
         "tick_s",
         "priority_queues",
         "_admit",
-        "_admit_batch",
         "_on_complete",
         "_on_launch",
         "_on_tick_overridden",
@@ -365,11 +341,6 @@ class Engine:
         self._admit = (
             self.hooks.on_arrival
             if cls.on_arrival is not EngineHooks.on_arrival
-            else None
-        )
-        self._admit_batch = (
-            self.hooks.on_arrival_batch
-            if cls.on_arrival_batch is not EngineHooks.on_arrival_batch
             else None
         )
         self._on_complete = (
@@ -437,7 +408,7 @@ class Engine:
             return self._fall_back("on_launch hook overridden")
         ctl = self._ctl_spec
         if ctl is None:
-            if self._admit is not None or self._admit_batch is not None:
+            if self._admit is not None:
                 return self._fall_back("on_arrival hook overridden")
             if self._on_complete is not None:
                 return self._fall_back("on_complete hook overridden")
@@ -1082,7 +1053,14 @@ class Engine:
         report builders see a drained run whichever path served it.
         Bounded horizons and resumed runs always step the general
         loop.
+
+        Raises:
+            ConfigError: If ``t`` is NaN — every horizon check would
+                pass, draining the run and leaving a NaN clock for
+                :meth:`snapshot` to persist.
         """
+        if t != t:
+            raise ConfigError("run_until horizon must not be NaN")
         state = self.state
         requests = self._requests
         n = len(requests)
@@ -1110,14 +1088,15 @@ class Engine:
                 self.last_run = run
                 return run
         elif not self._fast_reason:
-            # Diagnose at most once per engine (the reason is sticky
-            # until _fast_mode reassesses): lead with the config-level
+            # Diagnose at most once per run (the reason is sticky
+            # until _fast_mode reassesses, and a snapshot carries it
+            # into a resumed process): lead with the config-level
             # precondition when one fails, which is identical whether
-            # the run drains in one call, in bounded checkpoint
-            # slices, or in a resumed process — tick_s and hook
-            # checks precede fleet-state checks — so checkpointed
-            # reruns report byte-identical telemetry.  Run mechanics
-            # are the reason only when the config itself qualifies.
+            # the run drains in one call or in bounded checkpoint
+            # slices — tick_s and hook checks precede fleet-state
+            # checks — so checkpointed reruns report byte-identical
+            # telemetry.  Run mechanics are the reason only when the
+            # config itself qualifies.
             if n and self._fast_mode(requests) is not None:
                 self._fast_reason = (
                     "bounded run_until horizon"
@@ -1127,10 +1106,6 @@ class Engine:
         instances = self.fleet.instances
         policy = self.policy
         admit = self._admit
-        # Batched hook dispatch: hooks that opted in (overrode
-        # on_arrival_batch) get the arena + row index instead of the
-        # scalar on_arrival, amortizing per-event view overhead.
-        admit_batch = self._admit_batch
         on_complete = self._on_complete
         hooks = self.hooks
         tick_s = self.tick_s
@@ -1170,14 +1145,7 @@ class Engine:
                     ]
                 )
                 instance = active[policy.choose(request, active, now)]
-                if admit_batch is not None:
-                    if not admit_batch(
-                        requests, request.i, request, instance, now,
-                        self,
-                    ):
-                        request.shed = True
-                        continue
-                elif admit is not None and not admit(
+                if admit is not None and not admit(
                     request, instance, now, self
                 ):
                     request.shed = True
@@ -1261,11 +1229,14 @@ class Engine:
 
         Returns a plain picklable dict: the :class:`EngineState`
         fields, every instance's ``state_dict`` plus its queue as
-        request stream positions, the policy state, and the hook
-        state.  Queues serialize as indices because every arena indexes
-        its rows with ``arange`` (``request.index`` is the row — also
-        for tenancy's merged receiver arenas), so :meth:`restore` can
-        rebind the views against the caller-provided arena.
+        request stream positions, the policy state, the hook state,
+        and the recorded fast-path fallback reason (so a resumed run
+        reports the same :attr:`EngineRun.fallback` as an
+        uninterrupted one).  Queues serialize as indices because every
+        arena indexes its rows with ``arange`` (``request.index`` is
+        the row — also for tenancy's merged receiver arenas), so
+        :meth:`restore` can rebind the views against the
+        caller-provided arena.
         """
         state = self.state
         instances = []
@@ -1288,6 +1259,7 @@ class Engine:
             "instances": instances,
             "policy": self.policy.state_dict(),
             "hooks": self.hooks.state_dict(),
+            "fallback": self._fast_reason,
         }
 
     def restore(
@@ -1324,6 +1296,7 @@ class Engine:
             inst.queue.extend(requests[idx] for idx in entry["queue"])
         self.policy.load_state_dict(snapshot["policy"])
         self.hooks.load_state_dict(snapshot["hooks"])
+        self._fast_reason = snapshot.get("fallback", "")
         return self.state
 
 

@@ -224,7 +224,7 @@ class ServingReport:
     #: Engine execution counters — diagnostics about *how* the run
     #: executed, not *what* it computed.  ``compare=False`` keeps
     #: report equality (parity goldens, cache round-trips, the
-    #: epoch-vs-monolith check) about the physics, and
+    #: multi-fleet-vs-monolith check) about the physics, and
     #: ``report_to_dict`` drops them so the JSON report payloads stay
     #: byte-stable; the CLI surfaces them in a separate section.
     engine_events: int = field(default=0, compare=False)
@@ -408,7 +408,7 @@ class ServingExecution:
     ``engine.begin``), advance the engine with
     :meth:`~repro.serve.engine.Engine.run_until` — one ``run_until(inf)``
     lets the engine dispatch a columnar fast path, bounded slices step
-    the general loop for checkpointed and epoch-stepped runs — and
+    the general loop for checkpointed runs — and
     turn the drained execution into its report
     (:func:`finalize_serving`).
     """

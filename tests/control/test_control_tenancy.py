@@ -289,25 +289,14 @@ class TestScenarioValidation:
 
 
 class TestEpochSteppedExecution:
-    """The epoch-stepped rebuild against its own knobs: any positive
-    epoch and any job count must reproduce the identical report —
-    `epoch_s`/`jobs` are execution details, not semantics."""
-
-    def test_epoch_length_is_invisible(self):
-        scenario = _overloaded_pair()
-        reference = simulate_multi_fleet(scenario)
-        for epoch_s in (0.25, 1.0, 1e9):
-            assert simulate_multi_fleet(
-                scenario, epoch_s=epoch_s
-            ) == reference
+    """The phase-barrier execution against its own knob: any job count
+    must reproduce the identical report — `jobs` is an execution
+    detail, not semantics."""
 
     def test_process_sharding_is_invisible(self):
         scenario = _overloaded_pair()
         reference = simulate_multi_fleet(scenario)
         assert simulate_multi_fleet(scenario, jobs=2) == reference
-        assert simulate_multi_fleet(
-            scenario, jobs=2, epoch_s=0.5
-        ) == reference
 
     def test_sharded_no_spillover_fleets(self):
         scenario = _overloaded_pair(spillover="none")
@@ -321,11 +310,6 @@ class TestEpochSteppedExecution:
         assert make_key(
             "multi_fleet_point", args=(scenario,)
         ) == make_key("multi_fleet_point", args=(scenario,))
-
-    def test_invalid_epoch_rejected(self):
-        scenario = _overloaded_pair()
-        with pytest.raises(ConfigError, match="epoch_s"):
-            simulate_multi_fleet(scenario, epoch_s=0.0)
 
     def test_single_scenario_sweep_routes_jobs_inward(self):
         # The CLI always hands the sweep one scenario; its --jobs must

@@ -8,7 +8,10 @@ dispatches whichever kernel (``"rr"``, ``"ll"``, ``"rr-ctl"``) the
 configuration qualifies for; the second starts with a bounded
 ``run_until`` slice, which always steps the general event loop, and
 then drains.  Schedules (``start``/``finish``/``shed`` columns) and
-every per-instance counter must agree bit for bit.
+every per-instance counter must agree bit for bit.  A third drain
+checkpoints at the cut — ``snapshot()``, a pickle round trip,
+``restore()`` into a freshly built fleet and engine — and must also
+match the uninterrupted sliced drain's run telemetry.
 
 Draws cover arrival shape (Poisson, bursty, and tied timestamps),
 ``max_wait`` in {0, sub-nanosecond, normal}, mix, fleet size, DVFS
@@ -19,6 +22,8 @@ with mixed priorities is where queue ordering shows.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -124,6 +129,32 @@ def _engine(case, arena):
     )
 
 
+def _sliced(case):
+    """A fresh engine over the drawn stream, advanced through its
+    bounded first slice (the general loop)."""
+    arena = _arena(case)
+    engine = _engine(case, arena)
+    engine.begin(arena)
+    engine.run_until(case["cut"] * float(arena.arrival[-1]))
+    return engine, arena
+
+
+def _assert_same_outcome(a, a_arena, b, b_arena, tag):
+    """Equal schedules and per-instance counters, bit for bit."""
+    assert a.finished and b.finished
+    for column in ("start", "finish", "shed"):
+        assert np.array_equal(
+            getattr(a_arena, column), getattr(b_arena, column)
+        ), (column, tag)
+    for x, y in zip(a.fleet, b.fleet):
+        for name in _COUNTERS:
+            assert getattr(x, name) == getattr(y, name), (
+                name,
+                x.index,
+                tag,
+            )
+
+
 @settings(
     max_examples=150,
     deadline=None,
@@ -136,24 +167,35 @@ def test_fast_path_matches_general_loop(case):
     fast.begin(fast_arena)
     fast.run_until(_INF)
 
-    general_arena = _arena(case)
-    general = _engine(case, general_arena)
-    general.begin(general_arena)
-    general.run_until(case["cut"] * float(general_arena.arrival[-1]))
+    general, general_arena = _sliced(case)
     assert general.run_until(_INF).dispatch == "general"
 
-    assert fast.finished and general.finished
-    for column in ("start", "finish", "shed"):
-        assert np.array_equal(
-            getattr(fast_arena, column), getattr(general_arena, column)
-        ), (column, fast.last_run.dispatch)
-    for a, b in zip(fast.fleet, general.fleet):
-        for name in _COUNTERS:
-            assert getattr(a, name) == getattr(b, name), (
-                name,
-                a.index,
-                fast.last_run.dispatch,
-            )
+    _assert_same_outcome(
+        fast, fast_arena, general, general_arena, fast.last_run.dispatch
+    )
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(scenarios())
+def test_restore_at_cut_matches_sliced_drain(case):
+    sliced, sliced_arena = _sliced(case)
+    reference = sliced.run_until(_INF)
+
+    victim, cut_arena = _sliced(case)
+    snapshot, arena = pickle.loads(
+        pickle.dumps((victim.snapshot(), cut_arena))
+    )
+    resumed = _engine(case, arena)
+    resumed.restore(snapshot, arena)
+    run = resumed.run_until(_INF)
+
+    _assert_same_outcome(sliced, sliced_arena, resumed, arena, "restored")
+    for name in ("events", "peak_heap", "dispatch", "fallback"):
+        assert getattr(run, name) == getattr(reference, name), name
 
 
 def test_draws_reach_every_kernel():

@@ -8,11 +8,12 @@ now raises :class:`~repro.errors.ConfigError` in the scenario's
 ``__post_init__`` and exits 2 with a flag-named error at the CLI.
 ``MultiFleetScenario`` had the same holes in its modulator and hop
 knobs (``period_s=nan`` hung, a NaN hop forwarded nothing, NaN/inf
-burst knobs crashed with ``IndexError``), as did ``epoch_s``.  The
-last holes were the nested specs and traces: NaN ``InstanceSpec``
-operating points and NaN trace timestamps hung, an ``inf`` trace
-warned its way into a report, and NaN DVFS rungs and SLO deadlines
-completed nothing.
+burst knobs crashed with ``IndexError``).  The last holes were the
+nested specs and traces: NaN ``InstanceSpec`` operating points and NaN
+trace timestamps hung, an ``inf`` trace warned its way into a report,
+and NaN DVFS rungs and SLO deadlines completed nothing.  Below the
+scenarios, a NaN ``Engine.run_until`` horizon drained the whole run and
+left a NaN clock for a checkpoint to persist.
 """
 
 from __future__ import annotations
@@ -207,14 +208,6 @@ def test_multi_fleet_nan_period_rejected_not_hung():
     assert "rejected: period_s must be finite" in proc.stderr, proc.stderr
 
 
-@pytest.mark.parametrize("epoch_s", [_NAN, _INF])
-def test_multi_fleet_epoch_must_be_finite(epoch_s):
-    from repro.control import simulate_multi_fleet
-
-    with pytest.raises(ConfigError, match="epoch_s must be positive"):
-        simulate_multi_fleet(_multi_fleet(), epoch_s=epoch_s)
-
-
 def test_multi_fleet_cache_key_unchanged_by_check():
     """The check adds no scenario field, so content keys stay put."""
     scenario = _multi_fleet()
@@ -313,3 +306,27 @@ def test_cli_spec_parsers_reject_non_finite(parse, text):
 
     with pytest.raises(ConfigError, match="must be finite"):
         getattr(control, parse)(text)
+
+
+def test_run_until_rejects_nan_horizon():
+    """NaN passes every horizon check, so ``run_until(nan)`` used to
+    drain the run and leave ``state.clock = nan`` behind."""
+    import numpy as np
+
+    from repro.serve import Engine, Fleet, make_policy
+    from repro.serve.engine import build_requests
+    from repro.serve.profile import build_mix
+
+    arena = build_requests(
+        build_mix("mixed"), np.arange(20) * 1e-3, np.random.default_rng(0)
+    )
+    engine = Engine(
+        Fleet(2), make_policy("least-loaded"), max_batch=4,
+        max_wait_s=1e-3,
+    )
+    engine.begin(arena)
+    with pytest.raises(ConfigError, match="horizon must not be NaN"):
+        engine.run_until(_NAN)
+    assert engine.state.cursor == 0 and engine.state.clock == 0.0
+    engine.run_until(_INF)
+    assert engine.finished
