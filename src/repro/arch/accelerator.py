@@ -14,9 +14,15 @@ dataflow the DSE selected.  The loop hierarchy, outermost first:
    cycle level; PWC weights for the whole ``K`` of the current channel
    group are resident in the PWC weight buffer).
 
-Cycle accounting per (channel group, tile): ``init_cycles`` of pipeline
-fill plus ``positions x ceil(K/Tk)`` streaming cycles, which reproduces the
-paper's Eqs. 1-2 exactly (validated against :mod:`repro.sim.pipeline`).
+The model evaluates levels 3 and 4 as one batch: a tile's positions run
+through the DWC engine, the Non-Conv bank and the PWC engine in one call
+each, the PWC call covering every kernel group.  The cycle accounting
+still follows the loop nest.  Per (channel group, tile): ``init_cycles``
+of pipeline fill plus ``positions x ceil(K/Tk)`` streaming cycles, which
+reproduces the paper's Eqs. 1-2 exactly (validated against
+:mod:`repro.sim.pipeline`).  Engine, buffer and external-memory counters
+advance by the per-tile totals of the same schedule, and every buffer
+capacity and residency check runs on the per-cycle access sizes.
 
 The functional result is bit-exact against the int8 reference model
 (:class:`repro.quant.QuantizedMobileNet`), which the integration tests
@@ -149,7 +155,6 @@ class DSCAccelerator:
         self.pwc_engine = PWCEngine(config)
         self.nonconv = NonConvUnitBank(config)
         self.memory = ExternalMemory()
-        self._pwc_weight_capacity_entries = 0  # sized per layer below
 
     def _make_buffers(self, out_channels: int) -> BufferSet:
         cfg = self.config
@@ -296,12 +301,24 @@ class DSCAccelerator:
         tile_shape: tuple[int, int],
         stride: int,
     ) -> None:
-        """Process one (channel group, ifmap tile) pair."""
+        """Process one (channel group, ifmap tile) pair as one batch.
+
+        The tile's ``R x C`` output positions run through the DWC engine,
+        the Non-Conv bank and the PWC engine in one call each (the PWC
+        call covers every kernel group).  Cycle, buffer and memory
+        counters advance by the totals of the position-by-position,
+        kernel-group-by-kernel-group schedule, and every buffer capacity
+        and residency check still runs.
+        """
         cfg = self.config
         ty, tx = tile_origin
         tile_h, tile_w = tile_shape
         ch0 = group * cfg.td
         k = cfg.kernel_size
+        pos_rows = math.ceil(tile_h / cfg.tn)
+        pos_cols = math.ceil(tile_w / cfg.tm)
+        positions = pos_rows * pos_cols
+        pwc_cycles = positions * stats.kernel_groups
 
         # Load the tile's input (with halo) into the ifmap buffer.
         ext_h = (tile_h - 1) * stride + k
@@ -314,91 +331,78 @@ class DSCAccelerator:
         buffers.dwc_ifmap.fill(tile_in.size)
         self.memory.read_activations(tile_in.size)
 
-        stats.cycles += cfg.init_cycles
+        stats.cycles += cfg.init_cycles + pwc_cycles
         stats.init_cycle_total += cfg.init_cycles
 
-        n_kernel_groups = stats.kernel_groups
-        pos_rows = math.ceil(tile_h / cfg.tn)
-        pos_cols = math.ceil(tile_w / cfg.tm)
+        # One DWC window per position, every (Tn, Tm) outputs.  Windows of
+        # the last position row/column of odd-sized maps overhang the
+        # buffered extent: they are clipped there and zero-filled to the
+        # engine's fixed geometry (outputs beyond the map are discarded
+        # below).  Only the resident elements are buffer reads; the zero
+        # fill is wired, not fetched.
+        span_y = (cfg.tn - 1) * stride + k
+        span_x = (cfg.tm - 1) * stride + k
+        for h, n_h in _window_spans(pos_rows, cfg.tn * stride, span_y, ext_h):
+            for w, n_w in _window_spans(
+                pos_cols, cfg.tm * stride, span_x, ext_w
+            ):
+                buffers.dwc_ifmap.read(cfg.td * h * w, times=n_h * n_w)
+        region_h = (pos_rows * cfg.tn - 1) * stride + k
+        region_w = (pos_cols * cfg.tm - 1) * stride + k
+        region = tile_in
+        if (region_h, region_w) != (ext_h, ext_w):
+            region = np.zeros((cfg.td, region_h, region_w), dtype=np.int8)
+            region[:, :ext_h, :ext_w] = tile_in
         dwc_w = layer.dwc_weight[ch0 : ch0 + cfg.td]
+        buffers.dwc_weight.read(dwc_w.size, times=positions)
+        result = self.dwc_engine.compute_tile(region, dwc_w, stride)
+        stats.dwc_busy_cycles += result.cycles
+        stats.dwc_macs += result.macs
+        stats.dwc_input_elements += result.input_elements
+        stats.dwc_input_zeros += result.input_zeros
 
-        for py in range(pos_rows):
-            for px in range(pos_cols):
-                in_y = py * cfg.tn * stride
-                in_x = px * cfg.tm * stride
-                span_y = (cfg.tn - 1) * stride + k
-                span_x = (cfg.tm - 1) * stride + k
-                window = tile_in[
-                    :, in_y : in_y + span_y, in_x : in_x + span_x
-                ]
-                resident_elements = window.size
-                if window.shape != (cfg.td, span_y, span_x):
-                    # Edge positions of odd-sized maps: pad with zeros to
-                    # the engine's fixed geometry (outputs beyond the map
-                    # are discarded below).  Only the real elements are
-                    # buffer reads; the zero fill is wired, not fetched.
-                    full = np.zeros(
-                        (cfg.td, span_y, span_x), dtype=window.dtype
-                    )
-                    full[
-                        :, : window.shape[1], : window.shape[2]
-                    ] = window
-                    window = full
+        # Non-Conv: DWC accumulators -> int8 PWC input tiles.
+        buffers.offline.read(2 * cfg.td, times=positions)
+        mid = self.nonconv.process(
+            result.acc, layer.dwc_nonconv, ch0, cycles=positions
+        )
 
-                buffers.dwc_ifmap.read(resident_elements)
-                buffers.dwc_weight.read(dwc_w.size)
-                result = self.dwc_engine.compute_tile(window, dwc_w, stride)
-                stats.dwc_busy_cycles += 1
-                stats.dwc_macs += result.macs
-                stats.dwc_input_elements += window.size
-                stats.dwc_input_zeros += int(
-                    round(window.size * (1 - result.nonzero_input_fraction))
-                )
+        if self.direct_transfer:
+            # Each position's Td x Tn x Tm tile is written once and read by
+            # every kernel group before the next position replaces it.
+            mid_tile_entries = cfg.td * cfg.tn * cfg.tm
+            buffers.intermediate.fill(mid_tile_entries, times=positions)
+            buffers.intermediate.read(mid_tile_entries, times=pwc_cycles)
+            buffers.intermediate.drain()
+        else:
+            # Baseline: intermediate spilled to external memory and
+            # fetched back for the PWC.
+            assert mid_spill is not None
+            self.memory.write_activations(tile_h * tile_w * cfg.td)
+            mid_spill[
+                ch0 : ch0 + cfg.td, ty : ty + tile_h, tx : tx + tile_w
+            ] = mid[:, :tile_h, :tile_w]
+            self.memory.read_activations(tile_h * tile_w * cfg.td)
 
-                # Non-Conv: DWC accumulators -> int8 PWC input tile.
-                buffers.offline.read(2 * cfg.td)
-                mid_tile = self.nonconv.process(
-                    result.acc, layer.dwc_nonconv, ch0
-                )
+        pwc_w = layer.pwc_weight[:, ch0 : ch0 + cfg.td]
+        buffers.pwc_weight.read(cfg.tk * cfg.td, times=pwc_cycles)
+        pwc_res = self.pwc_engine.compute_group(mid, pwc_w)
+        stats.pwc_busy_cycles += pwc_res.cycles
+        stats.pwc_macs += pwc_res.macs
+        stats.pwc_input_elements += pwc_res.input_elements
+        stats.pwc_input_zeros += pwc_res.input_zeros
+        psum[:, ty : ty + tile_h, tx : tx + tile_w] += pwc_res.psum[
+            :, :tile_h, :tile_w
+        ]
 
-                oy = ty + py * cfg.tn
-                ox = tx + px * cfg.tm
-                rows = min(cfg.tn, layer.spec.out_size - oy)
-                cols = min(cfg.tm, layer.spec.out_size - ox)
 
-                if self.direct_transfer:
-                    buffers.intermediate.fill(mid_tile.size)
-                else:
-                    # Baseline: intermediate spilled to external memory
-                    # and fetched back for the PWC.
-                    assert mid_spill is not None
-                    self.memory.write_activations(rows * cols * cfg.td)
-                    mid_spill[
-                        ch0 : ch0 + cfg.td, oy : oy + rows, ox : ox + cols
-                    ] = mid_tile[:, :rows, :cols]
-                    self.memory.read_activations(rows * cols * cfg.td)
+def _window_spans(
+    count: int, step: int, span: int, extent: int
+) -> list[tuple[int, int]]:
+    """``(resident span, windows)`` pairs along one tile axis.
 
-                for kg in range(n_kernel_groups):
-                    k0 = kg * cfg.tk
-                    pwc_w = layer.pwc_weight[
-                        k0 : k0 + cfg.tk, ch0 : ch0 + cfg.td
-                    ]
-                    if self.direct_transfer:
-                        buffers.intermediate.read(mid_tile.size)
-                    buffers.pwc_weight.read(pwc_w.size)
-                    pwc_res = self.pwc_engine.compute_group(mid_tile, pwc_w)
-                    stats.pwc_busy_cycles += 1
-                    stats.pwc_macs += pwc_res.macs
-                    stats.pwc_input_elements += mid_tile.size
-                    stats.pwc_input_zeros += int(
-                        round(
-                            mid_tile.size
-                            * (1 - pwc_res.nonzero_input_fraction)
-                        )
-                    )
-                    psum[
-                        k0 : k0 + cfg.tk, oy : oy + rows, ox : ox + cols
-                    ] += pwc_res.psum[:, :rows, :cols]
-                    stats.cycles += 1
-                if self.direct_transfer:
-                    buffers.intermediate.drain()
+    ``count`` windows of ``span`` inputs start every ``step`` inputs; only
+    the last can overhang the buffered ``extent`` and be clipped.
+    """
+    last = min(span, extent - (count - 1) * step)
+    return [(span, count - 1), (last, 1)] if count > 1 else [(last, 1)]

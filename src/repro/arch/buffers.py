@@ -39,28 +39,32 @@ class Buffer:
                 f"(got {self.capacity_entries})"
             )
 
-    def fill(self, entries: int) -> None:
-        """Load ``entries`` elements, replacing the current contents."""
-        if entries < 0:
-            raise BufferError_(f"cannot fill {entries} entries")
+    def fill(self, entries: int, times: int = 1) -> None:
+        """Load ``entries`` elements, replacing the current contents.
+
+        ``times`` repeats the load back to back (each replaces the last),
+        so ``entries * times`` writes are counted.
+        """
+        if entries < 0 or times < 0:
+            raise BufferError_(f"cannot fill {entries} entries {times} times")
         if entries > self.capacity_entries:
             raise BufferError_(
                 f"buffer {self.name!r} overflow: filling {entries} entries "
                 f"into capacity {self.capacity_entries}"
             )
         self._resident = entries
-        self.writes += entries
+        self.writes += entries * times
 
-    def read(self, entries: int) -> None:
-        """Record ``entries`` element reads from the buffer."""
-        if entries < 0:
-            raise BufferError_(f"cannot read {entries} entries")
+    def read(self, entries: int, times: int = 1) -> None:
+        """Record ``times`` reads of ``entries`` resident elements each."""
+        if entries < 0 or times < 0:
+            raise BufferError_(f"cannot read {entries} entries {times} times")
         if entries > self._resident:
             raise BufferError_(
                 f"buffer {self.name!r} underflow: reading {entries} of "
                 f"{self._resident} resident entries"
             )
-        self.reads += entries
+        self.reads += entries * times
 
     def write(self, entries: int) -> None:
         """Record ``entries`` element writes (streaming, no replace)."""

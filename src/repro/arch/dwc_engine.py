@@ -5,13 +5,14 @@ channel group.  Each column computes a full 3x3 window per output element
 through nine multipliers and an adder tree, and the engine produces one
 ``Tn x Tm x Td`` output tile per cycle — 288 MACs in flight.
 
-The functional model computes exactly that arithmetic (vectorized over the
-tile) and reports per-invocation statistics used by the utilization and
-power analyses.
+The functional model computes exactly that arithmetic, vectorized over a
+whole grid of ``R x C`` output positions (one engine cycle each), and
+reports per-call statistics used by the utilization and power analyses.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,19 +25,59 @@ __all__ = ["DWCTileResult", "DWCEngine"]
 
 @dataclass(frozen=True)
 class DWCTileResult:
-    """Output of one DWC engine invocation.
+    """Output of one DWC engine call covering ``cycles`` output positions.
 
     Attributes:
-        acc: int32 accumulators, shape ``(td, tn, tm)``.
-        macs: MAC operations performed (always the full array size —
+        acc: int64 accumulators, shape ``(td, R*tn, C*tm)``.
+        cycles: Engine cycles the call covers, one per ``Tn x Tm`` output
+            position (``R * C``).
+        macs: MAC operations performed (always the full array each cycle —
             the engine is fully utilized for every MobileNet layer).
-        nonzero_input_fraction: Fraction of non-zero int8 inputs consumed
-            (drives the activity-dependent power model).
+        input_zeros: Zero int8 inputs consumed, counted per window: halo
+            elements shared by neighbouring windows count once per window
+            that reads them.
+        input_elements: int8 inputs consumed (``cycles`` windows).
     """
 
     acc: np.ndarray
+    cycles: int
     macs: int
-    nonzero_input_fraction: float
+    input_zeros: int
+    input_elements: int
+
+    @property
+    def nonzero_input_fraction(self) -> float:
+        """Fraction of non-zero int8 inputs consumed (drives the
+        activity-dependent power model)."""
+        return (self.input_elements - self.input_zeros) / self.input_elements
+
+
+def _grid_positions(extent: int, tile: int, stride: int, k: int) -> int:
+    """Number of engine windows along one axis of a buffered region.
+
+    A region of ``R`` windows spans ``(R*tile - 1)*stride + k`` inputs;
+    any other extent does not cover a whole number of positions and
+    raises :class:`~repro.errors.ShapeError`.
+    """
+    span = (tile - 1) * stride + k
+    step = tile * stride
+    if extent < span or (extent - span) % step:
+        raise ShapeError(
+            f"DWC engine input extent {extent} is not (R*{tile} - 1)*"
+            f"{stride} + {k} for a whole number R >= 1 of positions"
+        )
+    return (extent - span) // step + 1
+
+
+@functools.lru_cache(maxsize=256)
+def _window_multiplicity(count: int, step: int, span: int) -> np.ndarray:
+    """How many of ``count`` windows (``span`` wide, one every ``step``
+    inputs) read each input along one axis."""
+    starts = np.arange(count) * step
+    index = np.arange((count - 1) * step + span)[:, np.newaxis]
+    weights = ((index >= starts) & (index < starts + span)).sum(axis=1)
+    weights.flags.writeable = False
+    return weights
 
 
 class DWCEngine:
@@ -55,55 +96,65 @@ class DWCEngine:
     def compute_tile(
         self, ifmap_tile: np.ndarray, weights: np.ndarray, stride: int
     ) -> DWCTileResult:
-        """Convolve one buffered input tile with the channel group kernels.
+        """Convolve a buffered input region with the channel group kernels.
 
         Args:
-            ifmap_tile: int8 inputs, shape ``(td, tr, tr)`` where ``tr``
-                matches the configured output tile and stride (4x4 for
-                stride 1, 5x5 for stride 2 with Tn=Tm=2).
+            ifmap_tile: int8 inputs of an ``R x C`` grid of output
+                positions, shape ``(td, (R*tn - 1)*stride + k,
+                (C*tm - 1)*stride + k)``.  One position (``R = C = 1``) is
+                4x4 at stride 1 and 5x5 at stride 2 with Tn=Tm=2.
             weights: int8 kernels, shape ``(td, k, k)``.
             stride: Convolution stride (1 or 2).
 
         Returns:
-            :class:`DWCTileResult` with ``(td, tn, tm)`` accumulators.
+            :class:`DWCTileResult` with ``(td, R*tn, C*tm)`` accumulators;
+            the engine counters advance by ``R * C`` cycles.
         """
         cfg = self.config
         k = cfg.kernel_size
-        expected_tr = (
-            cfg.tn + k - 1 if stride == 1 else 2 * cfg.tn + k - 2
-        )
-        expected_tc = (
-            cfg.tm + k - 1 if stride == 1 else 2 * cfg.tm + k - 2
-        )
-        if ifmap_tile.shape != (cfg.td, expected_tr, expected_tc):
+        if ifmap_tile.ndim != 3 or ifmap_tile.shape[0] != cfg.td:
             raise ShapeError(
-                f"DWC engine expects ifmap tile "
-                f"{(cfg.td, expected_tr, expected_tc)} for stride {stride}, "
-                f"got {ifmap_tile.shape}"
+                f"DWC engine expects a ({cfg.td}, rows, cols) ifmap region "
+                f"for stride {stride}, got {ifmap_tile.shape}"
             )
+        rows = _grid_positions(ifmap_tile.shape[1], cfg.tn, stride, k)
+        cols = _grid_positions(ifmap_tile.shape[2], cfg.tm, stride, k)
         if weights.shape != (cfg.td, k, k):
             raise ShapeError(
                 f"DWC engine expects weights {(cfg.td, k, k)}, "
                 f"got {weights.shape}"
             )
+        out_h, out_w = rows * cfg.tn, cols * cfg.tm
         x = ifmap_tile.astype(np.int64)
         w = weights.astype(np.int64)
-        acc = np.zeros((cfg.td, cfg.tn, cfg.tm), dtype=np.int64)
-        # Each (oy, ox) output element is one PE column pass: 9 multipliers
-        # into an adder tree.  Vectorized over channels and window.
-        for oy in range(cfg.tn):
-            for ox in range(cfg.tm):
-                window = x[
+        # Each output element is one PE column pass: 9 multipliers into an
+        # adder tree.  Vectorized over channels and every output element,
+        # one kernel tap at a time.
+        acc = np.zeros((cfg.td, out_h, out_w), dtype=np.int64)
+        for ky in range(k):
+            for kx in range(k):
+                acc += w[:, ky, kx, None, None] * x[
                     :,
-                    oy * stride : oy * stride + k,
-                    ox * stride : ox * stride + k,
+                    ky : ky + (out_h - 1) * stride + 1 : stride,
+                    kx : kx + (out_w - 1) * stride + 1 : stride,
                 ]
-                acc[:, oy, ox] = np.sum(window * w, axis=(1, 2))
-        macs = cfg.dwc_macs_per_cycle
-        self.invocations += 1
+        span_y = (cfg.tn - 1) * stride + k
+        span_x = (cfg.tm - 1) * stride + k
+        # Windows overlap in their halo: weight each input's zero by the
+        # number of windows that read it.
+        input_zeros = (
+            _window_multiplicity(rows, cfg.tn * stride, span_y)
+            @ (ifmap_tile == 0).sum(axis=0)
+            @ _window_multiplicity(cols, cfg.tm * stride, span_x)
+        )
+        cycles = rows * cols
+        macs = cycles * cfg.dwc_macs_per_cycle
+        self.invocations += cycles
         self.total_macs += macs
         return DWCTileResult(
             acc=acc,
+            cycles=cycles,
             macs=macs,
-            nonzero_input_fraction=float(np.mean(ifmap_tile != 0)),
+            input_zeros=int(input_zeros),
+            input_elements=cycles * cfg.td * span_y * span_x,
         )

@@ -35,16 +35,20 @@ class NonConvUnitBank:
         acc_tile: np.ndarray,
         params: NonConvParams,
         channel_offset: int,
+        cycles: int = 1,
     ) -> np.ndarray:
         """Convert an accumulator tile into int8 activations.
 
         Args:
-            acc_tile: Integer accumulators, shape ``(channels, tn, tm)``
+            acc_tile: Integer accumulators, shape ``(channels, rows, cols)``
                 where ``channels`` is at most the configured bank width for
                 the DWC→PWC stage (``td``) or the PWC output stage (``tk``).
             params: Folded constants of the whole layer stage.
             channel_offset: Index of the tile's first channel within
                 ``params``.
+            cycles: Bank passes the call covers — one per DWC output
+                position when ``acc_tile`` is a grid of ``Tn x Tm``
+                positions; ``invocations`` advances by it.
 
         Returns:
             int8 activations of the same shape.
@@ -72,6 +76,6 @@ class NonConvUnitBank:
             k_raw=k_raw, b_raw=b_raw, relu=params.relu, fmt=params.fmt
         )
         out = sliced.apply(acc_tile, channel_axis=0)
-        self.invocations += 1
+        self.invocations += cycles
         self.total_ops += 2 * acc_tile.size
         return out

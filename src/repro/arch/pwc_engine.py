@@ -1,11 +1,15 @@
 """The pointwise-convolution engine (paper Fig. 5b).
 
 The PWC engine holds ``Tk x Tn x Tm = 64`` PEs of four multipliers each —
-512 MACs per cycle.  One invocation consumes a ``Tn x Tm x Td`` input tile
+512 MACs per cycle.  One cycle consumes a ``Tn x Tm x Td`` input tile
 (the DWC output delivered through the intermediate buffer) and a
 ``Tk x Td`` weight tile, producing partial sums for ``Tk`` output channels
 over the ``Tn x Tm`` positions; partial sums accumulate across channel
 groups in the psum registers until the reduction over ``D`` completes.
+
+The functional model evaluates every cycle of a channel group's ifmap tile
+in one call: all ``R x C`` output positions against all ``K / Tk`` kernel
+groups.
 """
 
 from __future__ import annotations
@@ -22,17 +26,29 @@ __all__ = ["PWCTileResult", "PWCEngine"]
 
 @dataclass(frozen=True)
 class PWCTileResult:
-    """Output of one PWC engine invocation.
+    """Output of one PWC engine call covering ``cycles`` engine cycles.
 
     Attributes:
-        psum: int32 partial sums for this channel group, ``(tk, tn, tm)``.
+        psum: int64 partial sums for this channel group,
+            ``(K, R*tn, C*tm)``.
+        cycles: Engine cycles the call covers: ``R * C`` positions times
+            ``K / Tk`` kernel groups.
         macs: MAC operations performed.
-        nonzero_input_fraction: Fraction of non-zero int8 inputs consumed.
+        input_zeros: Zero int8 inputs consumed; every kernel-group cycle
+            re-reads its position's input tile.
+        input_elements: int8 inputs consumed.
     """
 
     psum: np.ndarray
+    cycles: int
     macs: int
-    nonzero_input_fraction: float
+    input_zeros: int
+    input_elements: int
+
+    @property
+    def nonzero_input_fraction(self) -> float:
+        """Fraction of non-zero int8 inputs consumed."""
+        return (self.input_elements - self.input_zeros) / self.input_elements
 
 
 class PWCEngine:
@@ -51,34 +67,56 @@ class PWCEngine:
     def compute_group(
         self, ifmap_tile: np.ndarray, weights: np.ndarray
     ) -> PWCTileResult:
-        """Multiply one intermediate tile with one kernel-group tile.
+        """Multiply intermediate tiles with a channel group's kernels.
 
         Args:
-            ifmap_tile: int8 PWC inputs, shape ``(td, tn, tm)``.
-            weights: int8 kernel slice, shape ``(tk, td)``.
+            ifmap_tile: int8 PWC inputs of an ``R x C`` grid of output
+                positions, shape ``(td, R*tn, C*tm)``.
+            weights: int8 kernel slice, shape ``(K, td)`` with ``K`` a
+                multiple of ``tk`` (one kernel group is ``K = tk``).
 
         Returns:
-            :class:`PWCTileResult` with ``(tk, tn, tm)`` partial sums.
+            :class:`PWCTileResult` with ``(K, R*tn, C*tm)`` partial sums;
+            the engine counters advance by ``R * C * K / tk`` cycles.
         """
         cfg = self.config
-        if ifmap_tile.shape != (cfg.td, cfg.tn, cfg.tm):
+        if (
+            ifmap_tile.ndim != 3
+            or ifmap_tile.shape[0] != cfg.td
+            or not ifmap_tile.shape[1]
+            or not ifmap_tile.shape[2]
+            or ifmap_tile.shape[1] % cfg.tn
+            or ifmap_tile.shape[2] % cfg.tm
+        ):
             raise ShapeError(
-                f"PWC engine expects ifmap tile {(cfg.td, cfg.tn, cfg.tm)}, "
-                f"got {ifmap_tile.shape}"
+                f"PWC engine expects an ifmap tile (td, R*tn, C*tm) = "
+                f"({cfg.td}, R*{cfg.tn}, C*{cfg.tm}), got {ifmap_tile.shape}"
             )
-        if weights.shape != (cfg.tk, cfg.td):
+        if (
+            weights.ndim != 2
+            or weights.shape[1] != cfg.td
+            or not weights.shape[0]
+            or weights.shape[0] % cfg.tk
+        ):
             raise ShapeError(
-                f"PWC engine expects weights {(cfg.tk, cfg.td)}, "
-                f"got {weights.shape}"
+                f"PWC engine expects weights (K, td) with K a multiple of "
+                f"{cfg.tk} and td = {cfg.td}, got {weights.shape}"
             )
-        x = ifmap_tile.astype(np.int64)
-        w = weights.astype(np.int64)
-        psum = np.einsum("kd,dnm->knm", w, x, optimize=True)
-        macs = cfg.pwc_macs_per_cycle
-        self.invocations += 1
+        td, height, width = ifmap_tile.shape
+        psum = np.matmul(
+            weights.astype(np.int64),
+            ifmap_tile.astype(np.int64).reshape(td, height * width),
+        ).reshape(-1, height, width)
+        kernel_groups = weights.shape[0] // cfg.tk
+        positions = (height // cfg.tn) * (width // cfg.tm)
+        cycles = positions * kernel_groups
+        macs = cycles * cfg.pwc_macs_per_cycle
+        self.invocations += cycles
         self.total_macs += macs
         return PWCTileResult(
             psum=psum,
+            cycles=cycles,
             macs=macs,
-            nonzero_input_fraction=float(np.mean(ifmap_tile != 0)),
+            input_zeros=kernel_groups * int(np.count_nonzero(ifmap_tile == 0)),
+            input_elements=kernel_groups * ifmap_tile.size,
         )

@@ -54,6 +54,7 @@ from ..serve.simulator import (
     assemble_report,
     build_stream,
     check_finite,
+    check_tick_budget,
 )
 from .autoscale import GOVERNORS, make_governor
 from .hetero import InstanceSpec, configure_instance
@@ -544,6 +545,10 @@ def prepare_controlled(
     """
     dvfs_model = dvfs_model if dvfs_model is not None else DVFSModel()
     tick_s = scenario.tick_ms * 1e-3
+    if scenario.autoscale != "none":
+        check_tick_budget("tick_ms", tick_s, stream.times)
+    if obs is not None and obs.metrics_every_s is not None:
+        check_tick_budget("metrics_every_s", obs.metrics_every_s, stream.times)
     governor = _build_governor(
         scenario, fleet, mix, dvfs_model, tick_s
     )

@@ -90,6 +90,35 @@ def check_finite(scenario, names) -> None:
             raise ConfigError(f"{name} must be finite ({value})")
 
 
+#: Periodic events (governor ticks, metrics windows) a run may schedule
+#: per request.  Each costs the general loop a heap event or a sampling
+#: step, so a positive but tiny cadence makes run time scale with
+#: horizon / interval rather than with requests: ``tick_ms=1e-9`` on a
+#: 200-request run would schedule ~3e10 governor ticks.
+MAX_TICKS_PER_REQUEST = 1000
+
+
+def check_tick_budget(knob: str, interval_s: float, times) -> None:
+    """Reject a periodic cadence whose tick count would dwarf the run.
+
+    The estimate is the arrival horizon — the last arrival time, which
+    is ``requests / qps`` in expectation and the trace span on replay —
+    over ``interval_s``.
+
+    Raises:
+        ConfigError: Naming ``knob`` when the estimate exceeds
+            :data:`MAX_TICKS_PER_REQUEST` ticks per request.
+    """
+    horizon = float(times[-1])
+    ticks = horizon / interval_s
+    if ticks > MAX_TICKS_PER_REQUEST * len(times):
+        raise ConfigError(
+            f"{knob} is too fine for this run: ~{ticks:.3g} ticks over "
+            f"its {horizon:.3g} s arrival horizon, more than "
+            f"{MAX_TICKS_PER_REQUEST} per request ({len(times)} requests)"
+        )
+
+
 @dataclass(frozen=True)
 class ServingScenario:
     """Complete, hashable description of one serving simulation.
@@ -469,6 +498,8 @@ def prepare_serving(
     """
     policy = make_policy(scenario.policy)
     policy.reset()
+    if obs is not None and obs.metrics_every_s is not None:
+        check_tick_budget("metrics_every_s", obs.metrics_every_s, stream.times)
     tick_s = None
     if obs is not None and obs.active:
         hooks = obs.wrap(hooks, pid=0)

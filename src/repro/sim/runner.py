@@ -12,7 +12,7 @@ functional behaviour.
 With ``fast=True`` the runner skips the event-driven tile simulation and
 instead computes outputs with the vectorized int8 reference while
 deriving the run statistics from the closed-form timing model
-(:mod:`repro.sim.fastpath`) — cycle totals identical, ~40x faster — for
+(:mod:`repro.sim.fastpath`) — cycle totals identical, ~3-5x faster — for
 callers that only need aggregate latency/energy.
 """
 

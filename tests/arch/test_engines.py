@@ -137,6 +137,65 @@ class TestDWCEngine:
         assert result.macs == 576
 
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_position_grid_matches_reference_and_single_positions(
+        self, rng, stride
+    ):
+        """A 3 x 2 grid of positions in one call equals the reference
+        convolution and six single-position calls, zero counts (halo
+        re-reads included) and counters too."""
+        cfg = ArchConfig(tn=2, tm=2)
+        rows, cols, k = 3, 2, 3
+        x = int8(rng, (8, (rows * 2 - 1) * stride + k,
+                       (cols * 2 - 1) * stride + k))
+        x[rng.random(x.shape) < 0.3] = 0
+        w = int8(rng, (8, 3, 3))
+        grid = DWCEngine(cfg)
+        result = grid.compute_tile(x, w, stride)
+        ref = F.depthwise_conv2d(
+            x[np.newaxis].astype(np.int64), w.astype(np.int64), None,
+            stride, 0,
+        )[0]
+        np.testing.assert_array_equal(result.acc, ref)
+
+        single = DWCEngine(cfg)
+        span = stride + k
+        zeros = elements = 0
+        for py in range(rows):
+            for px in range(cols):
+                y, xo = 2 * stride * py, 2 * stride * px
+                one = single.compute_tile(
+                    x[:, y : y + span, xo : xo + span], w, stride
+                )
+                np.testing.assert_array_equal(
+                    one.acc, result.acc[:, 2 * py : 2 * py + 2,
+                                        2 * px : 2 * px + 2]
+                )
+                assert one.cycles == 1
+                zeros += one.input_zeros
+                elements += one.input_elements
+        assert result.cycles == rows * cols
+        assert (result.input_zeros, result.input_elements) == (
+            zeros, elements
+        )
+        assert (grid.invocations, grid.total_macs) == (
+            single.invocations, single.total_macs
+        )
+
+    def test_partial_position_region_raises(self, rng):
+        engine = DWCEngine(EDEA_CONFIG)
+        w = int8(rng, (8, 3, 3))
+        # Stride 1 grids span 2R + 2 inputs; 5 and 7 cover no whole R.
+        with pytest.raises(ShapeError):
+            engine.compute_tile(int8(rng, (8, 5, 4)), w, 1)
+        with pytest.raises(ShapeError):
+            engine.compute_tile(int8(rng, (8, 6, 7)), w, 1)
+        # Stride 2 grids span 4R + 1 inputs.
+        with pytest.raises(ShapeError):
+            engine.compute_tile(int8(rng, (8, 9, 7)), w, 2)
+        assert engine.invocations == 0
+
+
 class TestPWCEngine:
     def test_matches_reference_pointwise_conv(self, rng):
         engine = PWCEngine(EDEA_CONFIG)
@@ -175,6 +234,38 @@ class TestPWCEngine:
             engine.compute_group(int8(rng, (8, 2, 3)), int8(rng, (16, 8)))
         with pytest.raises(ShapeError):
             engine.compute_group(int8(rng, (8, 2, 2)), int8(rng, (8, 8)))
+
+    def test_all_kernel_groups_of_a_grid_match_reference(self, rng):
+        """K = 3 Tk kernels over a 2 x 3 position grid in one call."""
+        engine = PWCEngine(EDEA_CONFIG)
+        x = int8(rng, (8, 4, 6))
+        x[rng.random(x.shape) < 0.4] = 0
+        w = int8(rng, (48, 8))
+        result = engine.compute_group(x, w)
+        ref = F.pointwise_conv2d(
+            x[np.newaxis].astype(np.int64), w.astype(np.int64), None
+        )[0]
+        np.testing.assert_array_equal(result.psum, ref)
+        cycles = 2 * 3 * 3
+        assert result.cycles == engine.invocations == cycles
+        assert result.macs == engine.total_macs == cycles * 512
+        # Every kernel-group cycle re-reads its position's input tile.
+        assert result.input_elements == 3 * x.size
+        assert result.input_zeros == 3 * int(np.count_nonzero(x == 0))
+
+    def test_partial_position_or_kernel_group_raises(self, rng):
+        engine = PWCEngine(EDEA_CONFIG)
+        with pytest.raises(ShapeError):
+            engine.compute_group(int8(rng, (8, 3, 4)), int8(rng, (16, 8)))
+        with pytest.raises(ShapeError):
+            engine.compute_group(int8(rng, (8, 4, 0)), int8(rng, (16, 8)))
+        with pytest.raises(ShapeError):
+            engine.compute_group(int8(rng, (8, 2, 2)), int8(rng, (40, 8)))
+        with pytest.raises(ShapeError):
+            engine.compute_group(int8(rng, (8, 2, 2)), int8(rng, (0, 8)))
+        with pytest.raises(ShapeError):
+            engine.compute_group(int8(rng, (8, 2, 2)), int8(rng, (32, 4)))
+        assert engine.invocations == 0
 
     def test_worst_case_no_overflow(self):
         """Extreme int8 operands accumulated over MobileNet's deepest

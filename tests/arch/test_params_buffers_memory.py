@@ -110,6 +110,22 @@ class TestBuffer:
         with pytest.raises(BufferError_):
             buf.write(-1)
 
+    def test_repeated_accesses_check_each_and_count_all(self):
+        """``times`` repeats one access: capacity and residency are
+        checked per access, the counters take the product."""
+        buf = Buffer("x", 10)
+        buf.fill(8, times=5)
+        assert buf.resident == 8 and buf.writes == 40
+        buf.read(8, times=3)
+        assert buf.reads == 24
+        with pytest.raises(BufferError_):
+            buf.read(9, times=1)
+        with pytest.raises(BufferError_):
+            buf.fill(11, times=1)
+        with pytest.raises(BufferError_):
+            buf.read(1, times=-1)
+        assert (buf.reads, buf.writes) == (24, 40)
+
     def test_zero_capacity_rejected(self):
         with pytest.raises(BufferError_):
             Buffer("x", 0)

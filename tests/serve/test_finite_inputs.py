@@ -330,3 +330,40 @@ def test_run_until_rejects_nan_horizon():
     assert engine.state.cursor == 0 and engine.state.clock == 0.0
     engine.run_until(_INF)
     assert engine.finished
+
+
+# A finite, positive cadence can still hang a run: governor ticks and
+# metrics windows cost one step each, so run time scaled with horizon /
+# interval instead of with requests.  Both commands below were still
+# running when ``timeout 15`` killed them; the estimate now rejects them
+# before the engine starts.
+@pytest.mark.parametrize(
+    "argv, knob",
+    [
+        (("control", "--requests", "200", "--autoscale", "utilization",
+          "--tick-ms", "1e-9"), "tick_ms"),
+        (("serve", "--requests", "200", "--metrics-every", "1e-12"),
+         "metrics_every_s"),
+    ],
+)
+def test_tick_cadence_bounded_not_hung(argv, knob):
+    proc = _cli(*argv)
+    assert proc.returncode == 1, proc.stderr
+    assert f"error: {knob} is too fine for this run" in proc.stderr
+
+
+def test_tick_budget_counts_ticks_per_request_over_the_horizon():
+    """The bound is ``MAX_TICKS_PER_REQUEST`` ticks per request over the
+    arrival horizon (here a 1 s trace of 2 requests: 2000 ticks)."""
+    from repro.obs import Observability
+    from repro.serve import simulate
+    from repro.serve.simulator import MAX_TICKS_PER_REQUEST
+
+    scenario = ServingScenario(
+        arrival="trace", trace=(0.0, 1.0), requests=2, instances=1
+    )
+    limit_s = 1.0 / (2 * MAX_TICKS_PER_REQUEST)
+    report = simulate(scenario, obs=Observability(metrics_every_s=limit_s))
+    assert report.requests == 2
+    with pytest.raises(ConfigError, match="metrics_every_s is too fine"):
+        simulate(scenario, obs=Observability(metrics_every_s=0.8 * limit_s))

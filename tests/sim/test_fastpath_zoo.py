@@ -8,15 +8,21 @@ of every :mod:`repro.nn.zoo` factory (MobileNetV1-224, the MobileNetV2
 DSC view, and a custom odd-sized stack) through both models with
 synthetic quantized layers (channel counts clamped to one Td/Tk group so
 the event model stays fast; zero statistics are spatial, not
-channel-count, effects).
+channel-count, effects).  A Hypothesis test then draws architecture
+configs too — Td/Tk, non-square Tn x Tm output tiles, ifmap tile
+bounds, several channel and kernel groups — against the batched event
+model, whose per-tile closed forms those shapes stress.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.arch.accelerator import DSCAccelerator
+from repro.arch.params import ArchConfig
 from repro.fixedpoint import Q8_16
 from repro.nn.mobilenet import DSCLayerSpec
 from repro.nn.zoo import (
@@ -128,3 +134,63 @@ def test_odd_map_zero_parity_regression():
     stats_event, stats_fast = _run_both(spec)
     assert stats_fast.dwc_input_zeros == stats_event.dwc_input_zeros
     assert stats_fast.pwc_input_zeros == stats_event.pwc_input_zeros
+
+
+@st.composite
+def arch_configs(draw):
+    """Architecture configs with any Tn x Tm output tile (non-square
+    included) and an ifmap tile bound that is a multiple of both."""
+    tn = draw(st.integers(1, 4))
+    tm = draw(st.integers(1, 4))
+    return ArchConfig(
+        td=draw(st.sampled_from([1, 2, 4, 8])),
+        tk=draw(st.sampled_from([1, 2, 4, 8, 16])),
+        tn=tn,
+        tm=tm,
+        max_output_tile=math.lcm(tn, tm) * draw(st.integers(1, 3)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    config=arch_configs(),
+    in_size=st.integers(2, 17),
+    stride=st.sampled_from([1, 2]),
+    channel_groups=st.integers(1, 3),
+    kernel_groups=st.integers(1, 3),
+    direct_transfer=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_drawn_config_event_model_matches_analytic(
+    config, in_size, stride, channel_groups, kernel_groups,
+    direct_transfer, seed,
+):
+    """The batched event model equals the closed-form model field for
+    field, its output equals the int8 reference, and its engine counters
+    advance one step per engine cycle."""
+    spec = DSCLayerSpec(
+        0, in_size, stride,
+        config.td * channel_groups, config.tk * kernel_groups,
+    )
+    rng = np.random.default_rng(seed)
+    layer = make_synthetic_layer(spec, rng)
+    x_q = make_input(spec, rng)
+    accel = DSCAccelerator(config, direct_transfer=direct_transfer)
+    out, stats = accel.run_layer(layer, x_q)
+    mid_ref, out_ref = layer.forward(x_q[np.newaxis])
+    np.testing.assert_array_equal(out, out_ref[0])
+    stats_fast = analytic_layer_stats(
+        layer, x_q, mid_ref[0], config, direct_transfer
+    )
+    assert dataclasses.asdict(stats) == dataclasses.asdict(stats_fast)
+    assert accel.dwc_engine.invocations == stats.dwc_busy_cycles
+    assert accel.pwc_engine.invocations == stats.pwc_busy_cycles
+    assert accel.dwc_engine.total_macs == stats.dwc_macs
+    assert accel.pwc_engine.total_macs == stats.pwc_macs
+    # Non-Conv: one Td x Tn x Tm pass per DWC cycle, then one
+    # requantization of every output psum.
+    n = spec.out_size
+    assert accel.nonconv.total_ops == 2 * (
+        stats.dwc_busy_cycles * config.td * config.tn * config.tm
+        + spec.out_channels * n * n
+    )
